@@ -108,7 +108,7 @@ int main() {
 
     const ServiceStats stats = service.stats();
     const double hit_rate =
-        static_cast<double>(stats.hits + stats.partial_hits) /
+        static_cast<double>(stats.hits) /
         static_cast<double>(stats.lookups);
     table.add_row({std::to_string(machines), std::to_string(requests.size()),
                    Table::num(1e3 * percall_s), Table::num(1e3 * cold_s),
@@ -152,12 +152,12 @@ int main() {
     dispatch.print(std::cout);
   }
 
-  // Partial-hit latency: the model is warm but the requested initial state
-  // has no cached Prediction yet. The old path constructed a SparseTrSolver
-  // (re-running SmpModel::validate) and re-ran the O(n²) recursion; the
-  // entry's precomputed absorption curves turn the same query into an O(1)
-  // table read. Baseline reproduces the old work against the same models.
-  double partial_speedup = 0.0;
+  // Other-initial-state latency: the entry was built by an S1 query and is
+  // now asked for S2. A per-query solver would construct a SparseTrSolver
+  // (re-running SmpModel::validate) and re-run the O(n²) recursion; the
+  // entry's absorption curves already hold both rows, so the query is an
+  // O(1) table read. Baseline reproduces the solver work on the same models.
+  double other_state_speedup = 0.0;
   {
     const std::vector<MachineTrace> fleet = bench::lab_fleet(20, kDays);
     const TimeWindow window{.start_of_day = 8 * kSecondsPerHour,
@@ -173,8 +173,8 @@ int main() {
     constexpr int kReps = 20;
     double old_s = 0.0, new_s = 0.0, sink_old = 0.0, sink_new = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      // Fresh service per rep so every S2 query is a genuine partial hit
-      // (the hit it becomes afterwards is the previous table's row).
+      // Fresh service per rep so every S2 query is the first read of its
+      // row.
       PredictionService service(ServiceConfig{.estimator = estimator});
       for (const MachineTrace& trace : fleet) {  // warm the models, untimed
         PredictionRequest request{.target_day = trace.day_count(),
@@ -199,15 +199,15 @@ int main() {
       old_s += seconds_since(t1);
     }
     all_identical = all_identical && sink_old == sink_new;
-    partial_speedup = old_s / new_s;
+    other_state_speedup = old_s / new_s;
 
-    std::cout << "\npartial hit (warm model, un-solved initial state):\n";
-    Table partial({"queries", "old_path_us", "curve_read_us", "x"});
+    std::cout << "\nother-initial-state hit (entry built for S1, read for S2):\n";
+    Table other_state({"queries", "old_path_us", "curve_read_us", "x"});
     const double q = static_cast<double>(kReps) * 20.0;
-    partial.add_row({std::to_string(static_cast<int>(q)),
+    other_state.add_row({std::to_string(static_cast<int>(q)),
                      Table::num(1e6 * old_s / q), Table::num(1e6 * new_s / q),
-                     Table::num(partial_speedup, 1)});
-    partial.print(std::cout);
+                     Table::num(other_state_speedup, 1)});
+    other_state.print(std::cout);
   }
 
   std::cout << "\nTR values identical across per-call/cold/warm: "
@@ -215,10 +215,10 @@ int main() {
   std::cout << "warm batch speedup at 20 machines: " << Table::num(warm_speedup_20, 1)
             << "x (target >= 5x): "
             << (warm_speedup_20 >= 5.0 ? "PASS" : "FAIL") << "\n";
-  std::cout << "partial-hit speedup vs construct+solve: "
-            << Table::num(partial_speedup, 1) << "x (target >= 4x): "
-            << (partial_speedup >= 4.0 ? "PASS" : "FAIL") << "\n";
-  return all_identical && warm_speedup_20 >= 5.0 && partial_speedup >= 4.0
+  std::cout << "other-initial-state hit speedup vs construct+solve: "
+            << Table::num(other_state_speedup, 1) << "x (target >= 4x): "
+            << (other_state_speedup >= 4.0 ? "PASS" : "FAIL") << "\n";
+  return all_identical && warm_speedup_20 >= 5.0 && other_state_speedup >= 4.0
              ? 0
              : 1;
 }

@@ -15,21 +15,29 @@ namespace fgcs {
 
 namespace {
 
-State resolve_initial(const PredictionRequest& request, State majority) {
-  const State init = request.initial_state.value_or(majority);
-  FGCS_REQUIRE_MSG(is_available(init), "initial state must be S1 or S2");
-  return init;
+/// The Prediction an entry answers: one O(1) curve read.
+Prediction read_curves(const AbsorptionCurves& curves, State majority,
+                       std::size_t training_days,
+                       const PredictionRequest& request, std::size_t steps) {
+  Prediction prediction;
+  prediction.steps = steps;
+  prediction.training_days_used = training_days;
+  prediction.initial_state = request.initial_state.value_or(majority);
+  const SparseTrSolver::Result result =
+      curves.result_at(prediction.initial_state, steps);
+  prediction.temporal_reliability = result.temporal_reliability;
+  prediction.p_absorb = result.p_absorb;
+  return prediction;
 }
 
 }  // namespace
 
 std::size_t PredictionService::KeyHash::operator()(const Key& key) const {
-  std::size_t h = std::hash<std::string>{}(key.machine_id);
+  std::size_t h = static_cast<std::size_t>(key.history_id);
   const auto mix = [&h](std::size_t v) {
     h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   };
-  mix(static_cast<std::size_t>(key.generation));
-  mix(static_cast<std::size_t>(key.day_type));
+  mix(static_cast<std::size_t>(key.target_day));
   mix(static_cast<std::size_t>(key.window_start));
   mix(static_cast<std::size_t>(key.window_length));
   return h;
@@ -46,8 +54,6 @@ PredictionService::PredictionService(ServiceConfig config)
   metrics_attachments_.push_back(
       registry.attach("service.lookups.total", lookups_));
   metrics_attachments_.push_back(registry.attach("service.hits.total", hits_));
-  metrics_attachments_.push_back(
-      registry.attach("service.partial_hits.total", partial_hits_));
   metrics_attachments_.push_back(
       registry.attach("service.misses.total", misses_));
   metrics_attachments_.push_back(
@@ -74,26 +80,21 @@ PredictionService::Shard& PredictionService::shard_for(const Key& key) const {
   return shards_[KeyHash{}(key) % shard_count_];
 }
 
-std::uint64_t PredictionService::generation_of(
-    const std::string& machine_id) const {
-  const std::lock_guard<std::mutex> lock(generation_mutex_);
-  const auto it = generations_.find(machine_id);
-  return it == generations_.end() ? 0 : it->second;
-}
-
 Prediction PredictionService::predict(const MachineTrace& trace,
                                       const PredictionRequest& request) {
   validate(request.window);
   FGCS_REQUIRE_MSG(request.target_day >= 0 &&
                        request.target_day <= trace.day_count(),
                    "target day beyond recorded history + 1");
+  FGCS_REQUIRE_MSG(!request.initial_state || is_available(*request.initial_state),
+                   "initial state must be S1 or S2");
   lookups_.add();
 
   if (Failpoints::enabled()) {
     // Chaos hooks, evaluated only while something is armed: hard estimation
     // failure, injected estimation latency, and a forced invalidation racing
-    // the lookup (the staleness worst case the generation counter + per-hit
-    // day revalidation must absorb without ever serving a stale Prediction).
+    // the lookup (it may evict what this call is about to read; it can never
+    // change what the key answers).
     if (FGCS_FAILPOINT("service.estimate.fail"))
       throw DataError("injected: prediction service estimation failure");
     const double delay = FGCS_FAILPOINT_LATENCY("service.estimate.slow");
@@ -103,124 +104,54 @@ Prediction PredictionService::predict(const MachineTrace& trace,
       invalidate(trace.machine_id());
   }
 
-  const Key key{trace.machine_id(), generation_of(trace.machine_id()),
-                trace.day_type(request.target_day),
+  const Key key{trace.history_id(), request.target_day,
                 request.window.start_of_day, request.window.length};
-  // The training-day rule is cheap (a day-index scan) and is re-run on every
-  // lookup: a cached model is reused only when it was estimated from exactly
-  // the days the rule selects now, so staleness can never change a result.
-  // The day list lands in a per-worker buffer — a fleet probe of thousands
-  // of machines allocates it once per worker, not once per request.
-  static thread_local std::vector<std::int64_t> days;
-  estimator_.training_days_for(trace, request.target_day, request.window, days);
   const std::size_t steps = request.window.steps(trace.sampling_period());
   Shard& shard = shard_for(key);
-
-  std::shared_ptr<const SmpModel> model;
-  std::shared_ptr<const AbsorptionCurves> curves;
-  State majority = State::kS1;
-  double estimate_seconds = 0.0;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-      Entry& entry = it->second->second;
-      if (entry.training_days == days) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        const State init = resolve_initial(request, entry.majority_initial);
-        if (entry.solved[index_of(init)]) {
-          hits_.add();
-          return *entry.solved[index_of(init)];
-        }
-        model = entry.model;
-        curves = entry.curves;
-        majority = entry.majority_initial;
-        estimate_seconds = entry.estimate_seconds;
-      } else {
-        stale_drops_.add();
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
-      }
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      const Entry& entry = it->second->second;
+      hits_.add();
+      return read_curves(entry.curves, entry.majority_initial,
+                         entry.training_days, request, steps);
     }
   }
 
-  const bool model_was_cached = model != nullptr;
-  if (!model_was_cached) {
-    TraceSpan span("service.estimate", &estimate_hist_);
-    const TransitionCounts counts =
-        estimator_.count_transitions(trace, days, request.window);
-    model = std::make_shared<const SmpModel>(estimator_.build_model(counts));
-    majority = estimator_.majority_initial_state(trace, days, request.window);
-    estimate_seconds = span.finish();
-  }
-
-  Prediction prediction;
-  prediction.steps = steps;
-  prediction.training_days_used = days.size();
-  prediction.initial_state = resolve_initial(request, majority);
-  prediction.estimate_seconds = estimate_seconds;
-
+  // Miss: estimate the model and tabulate both initial states up to the
+  // window horizon (validation happens here, in the curves constructor —
+  // the only validate() on the entry's lifetime). Both run outside the
+  // shard lock.
+  TraceSpan estimate_span("service.estimate", &estimate_hist_);
+  const std::vector<std::int64_t> days =
+      estimator_.training_days_for(trace, request.target_day, request.window);
+  const SmpModel model = estimator_.build_model(
+      estimator_.count_transitions(trace, days, request.window));
+  const State majority =
+      estimator_.majority_initial_state(trace, days, request.window);
+  estimate_span.finish();
   TraceSpan solve_span("service.solve", &solve_hist_);
-  if (curves == nullptr || steps > curves->t_max()) {
-    // Cache miss: run the Eq. 3 recursion once, tabulating both initial
-    // states up to the window horizon (validation happens here, in the
-    // curves constructor — the only validate() on the entry's lifetime).
-    // The t_max guard is defense in depth: the key pins window_length, so a
-    // cached table always covers the horizon that keyed it.
-    curves = std::make_shared<const AbsorptionCurves>(*model, steps);
-  }
-  const SparseTrSolver::Result result =
-      curves->result_at(prediction.initial_state, steps);
-  prediction.solve_seconds = solve_span.finish();
-  prediction.temporal_reliability = result.temporal_reliability;
-  prediction.p_absorb = result.p_absorb;
-  (model_was_cached ? partial_hits_ : misses_).add();
+  Entry entry{.curves = AbsorptionCurves(model, steps),
+              .majority_initial = majority,
+              .training_days = days.size(),
+              .machine_id = trace.machine_id()};
+  solve_span.finish();
+  misses_.add();
+  const Prediction prediction =
+      read_curves(entry.curves, majority, days.size(), request, steps);
 
-  // Chaos hook for the invalidate-vs-insert race below: forces an
-  // invalidation to land exactly between the compute phase and the insert
-  // lock, the window the generation re-check must close.
-  if (FGCS_FAILPOINT("service.insert.race")) invalidate(trace.machine_id());
-
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    // An invalidate() that landed after our generation read has already
-    // swept this machine; inserting now would file the entry under a dead
-    // generation key — unreachable by every future lookup, crowding the LRU
-    // until capacity eviction. Skip the insert; the computed result is
-    // still correct (training days were revalidated), just not cacheable.
-    if (generation_of(trace.machine_id()) != key.generation) {
-      stale_drops_.add();
-      return prediction;
-    }
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // A concurrent predict raced us here; keep the existing entry when it
-      // is still valid, otherwise replace it with what we just computed.
-      Entry& entry = it->second->second;
-      if (entry.training_days == days) {
-        auto& slot = entry.solved[index_of(prediction.initial_state)];
-        if (!slot) slot = prediction;
-        if (!entry.curves) entry.curves = curves;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        return prediction;
-      }
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-    }
-    Entry entry;
-    entry.training_days = days;
-    entry.model = model;
-    entry.curves = curves;
-    entry.majority_initial = majority;
-    entry.estimate_seconds = estimate_seconds;
-    entry.solved[index_of(prediction.initial_state)] = prediction;
-    shard.lru.emplace_front(key, std::move(entry));
-    shard.index[key] = shard.lru.begin();
-    while (shard.index.size() > config_.capacity_per_shard) {
-      shard.index.erase(shard.lru.back().first);
-      shard.lru.pop_back();
-      evictions_.add();
-    }
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  // A concurrent miss on the same key may have inserted first; its entry
+  // answers identically, so keep it.
+  if (shard.index.find(key) != shard.index.end()) return prediction;
+  shard.lru.emplace_front(key, std::move(entry));
+  shard.index.emplace(key, shard.lru.begin());
+  while (shard.index.size() > config_.capacity_per_shard) {
+    shard.index.erase(shard.lru.back().first);
+    shard.lru.pop_back();
+    evictions_.add();
   }
   return prediction;
 }
@@ -270,30 +201,20 @@ std::vector<std::optional<Prediction>> PredictionService::try_predict_batch(
 }
 
 void PredictionService::invalidate(const std::string& machine_id) {
-  {
-    const std::lock_guard<std::mutex> lock(generation_mutex_);
-    ++generations_[machine_id];
-  }
   invalidations_.add();
-  // The generation bump already makes the old keys unreachable; also drop
-  // the machine's entries so dead models do not crowd the LRU.
   for (std::size_t s = 0; s < shard_count_; ++s) {
     Shard& shard = shards_[s];
     const std::lock_guard<std::mutex> lock(shard.mutex);
     for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->first.machine_id == machine_id) {
+      if (it->second.machine_id == machine_id) {
         shard.index.erase(it->first);
         it = shard.lru.erase(it);
+        stale_drops_.add();
       } else {
         ++it;
       }
     }
   }
-}
-
-std::uint64_t PredictionService::history_generation(
-    const std::string& machine_id) const {
-  return generation_of(machine_id);
 }
 
 std::size_t PredictionService::size() const {
@@ -317,7 +238,6 @@ ServiceStats PredictionService::stats() const {
   ServiceStats stats;
   stats.lookups = lookups_.value();
   stats.hits = hits_.value();
-  stats.partial_hits = partial_hits_.value();
   stats.misses = misses_.value();
   stats.evictions = evictions_.value();
   stats.invalidations = invalidations_.value();

@@ -2,34 +2,28 @@
 // estimation (the "serve many clients" layer above AvailabilityPredictor).
 //
 // A scheduler placing one job probes every machine in the fleet with the
-// same time window, and probes again minutes later with a nearly identical
-// one; the estimated SMP model for a (machine, day-type, window) triple is
-// the same each time. PredictionService exploits that: predictions fan out
-// over the parallel_for thread pool, and estimated (Q, H) models — plus the
-// model's precomputed AbsorptionCurves table and the solved Prediction per
-// initial state — live in a sharded LRU cache. A warm query never re-enters
-// the Eq. 3 recursion: any TR the cached model can produce is an O(1) read
-// off the curves (curve_cache.hpp), so the only per-solve work the service
-// ever does is the one table build on a cache miss.
+// same time window, and probes again minutes later with the same one; the
+// TR is a pure function of the machine's history, the target day, the
+// window and the initial state. PredictionService exploits that:
+// predictions fan out over the parallel_for thread pool, and each estimated
+// model's AbsorptionCurves table lives in a sharded LRU cache. A warm query
+// never re-enters the Eq. 3 recursion: both initial states' TR are an O(1)
+// read off the curves (curve_cache.hpp), so the only per-solve work the
+// service ever does is the one table build on a cache miss.
 //
-// Cache key and staleness: entries are keyed by (machine_id, day_type,
-// window_start, window_length, history_generation). The generation is a
-// monotone counter bumped by invalidate(machine_id) whenever the machine's
-// trace gains new days — traces are append-only, so a counter is a complete
-// staleness signal and costs O(1) where content hashing would cost
-// O(samples). As defense in depth every lookup re-runs the cheap
-// training-day rule and drops the entry if the selected days changed, so a
-// missed invalidate() can never yield a wrong Prediction (DESIGN.md §6).
+// Cache key: (history_id, target_day, window_start, window_length). The
+// history id names the trace's exact content (machine_trace.hpp: every
+// append_day, slice or load draws a fresh one), so the training days — and
+// with them the model — are a pure function of the key. Nothing is
+// re-checked on a hit, and two different histories can never share an
+// entry, whatever machine id they carry (DESIGN.md §6).
 //
 // Thread-safety contract: all public methods may be called concurrently.
-// Traces passed in must outlive the call and must not be mutated during it
-// (append new days between batches, then invalidate()). A cache hit returns
-// the stored Prediction verbatim — bit-identical to the cold call that
-// populated it, including its recorded estimate/solve timings.
+// Traces passed in must outlive the call and must not be mutated during it.
+// A hit is bit-identical to the cold call that populated the entry, and to
+// AvailabilityPredictor::predict on the same trace and request.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -71,24 +65,26 @@ struct BatchRequest {
 };
 
 /// Monotonic observability counters; snapshot via PredictionService::stats().
-/// Invariant: lookups == hits + partial_hits + misses.
+/// Invariant: lookups == hits + misses.
 ///
 /// This is a thin view over the service's metrics instruments — the same
 /// values every instance also reports into MetricsRegistry::global() under
 /// the `service.*` names (DESIGN.md §8), where multiple instances sum.
 struct ServiceStats {
   std::uint64_t lookups = 0;        ///< predict() calls (incl. batched ones)
-  std::uint64_t hits = 0;           ///< fully cached Prediction returned
-  std::uint64_t partial_hits = 0;   ///< model + curves reused, O(1) table read
-  std::uint64_t misses = 0;         ///< estimated and solved from scratch
+  std::uint64_t hits = 0;           ///< answered by a curve read
+  /// Retired: the cache no longer splits hits by initial state. Always 0;
+  /// kept so readers of the old field still compile.
+  std::uint64_t partial_hits = 0;
+  std::uint64_t misses = 0;         ///< estimated and tabulated from scratch
   std::uint64_t evictions = 0;      ///< LRU capacity evictions
   std::uint64_t invalidations = 0;  ///< invalidate() calls
-  std::uint64_t stale_drops = 0;    ///< entries dropped by day revalidation
+  std::uint64_t stale_drops = 0;    ///< entries dropped by invalidate()
   std::uint64_t batches = 0;        ///< predict_batch() calls
   std::uint64_t batch_requests = 0; ///< requests across all batches
   std::uint64_t max_batch = 0;      ///< largest batch seen
   double estimate_seconds = 0.0;    ///< total wall time in Q/H estimation
-  double solve_seconds = 0.0;       ///< total wall time in the Eq. 3 solver
+  double solve_seconds = 0.0;       ///< total wall time in curve builds
   /// Snapshot of the process-wide thread pool batch fan-out runs on (shared
   /// with every other parallel_for user in the process, e.g. fleet
   /// generation — it observes the substrate, not this service alone).
@@ -102,9 +98,8 @@ class PredictionService {
   const SmpEstimator& estimator() const { return estimator_; }
   const ServiceConfig& config() const { return config_; }
 
-  /// Single prediction through the cache. Semantically identical to
-  /// AvailabilityPredictor::predict with the same EstimatorConfig; a warm
-  /// call returns the cold call's Prediction bit-for-bit.
+  /// Single prediction through the cache. Bit-identical to
+  /// AvailabilityPredictor::predict with the same EstimatorConfig.
   Prediction predict(const MachineTrace& trace,
                      const PredictionRequest& request);
 
@@ -120,27 +115,24 @@ class PredictionService {
   std::vector<std::optional<Prediction>> try_predict_batch(
       std::span<const BatchRequest> requests);
 
-  /// Declares that `machine_id`'s trace gained new days: bumps the machine's
-  /// history generation (making its old cache keys unreachable) and drops its
-  /// cached entries. Other machines' entries are untouched.
+  /// Eviction hint: drops every entry cached for `machine_id` (counted in
+  /// stale_drops). Never needed for correctness — a grown or replaced trace
+  /// has a new history_id() and misses on its own — it only frees the dead
+  /// entries before LRU pressure would.
   void invalidate(const std::string& machine_id);
 
-  /// Current history generation for a machine (0 until first invalidate()).
-  std::uint64_t history_generation(const std::string& machine_id) const;
-
-  /// Memoized (machine, window) models currently cached, across all shards.
+  /// Entries currently cached, across all shards.
   std::size_t size() const;
 
-  /// Drops every cache entry (generations are preserved).
+  /// Drops every cache entry.
   void clear();
 
   ServiceStats stats() const;
 
  private:
   struct Key {
-    std::string machine_id;
-    std::uint64_t generation = 0;
-    DayType day_type = DayType::kWeekday;
+    std::uint64_t history_id = 0;
+    std::int64_t target_day = 0;
     SimTime window_start = 0;
     SimTime window_length = 0;
 
@@ -151,19 +143,14 @@ class PredictionService {
     std::size_t operator()(const Key& key) const;
   };
 
-  /// A memoized estimation for one (machine, day-type, window, generation):
-  /// the model, its precomputed absorption curves (validated and solved ONCE,
-  /// when the model entered the cache — warm lookups never construct a
-  /// solver or re-run SmpModel::validate), the training days that produced
-  /// it (revalidated on every hit), and the solved Prediction per transient
-  /// initial state.
+  /// One tabulated model: its absorption curves (validated and built ONCE,
+  /// when the entry was inserted) plus what a Prediction needs beside them.
+  /// `machine_id` serves invalidate() only.
   struct Entry {
-    std::vector<std::int64_t> training_days;
-    std::shared_ptr<const SmpModel> model;
-    std::shared_ptr<const AbsorptionCurves> curves;
+    AbsorptionCurves curves;
     State majority_initial = State::kS1;
-    double estimate_seconds = 0.0;
-    std::array<std::optional<Prediction>, 2> solved;  // by index_of(init)
+    std::size_t training_days = 0;
+    std::string machine_id;
   };
 
   struct Shard {
@@ -175,15 +162,11 @@ class PredictionService {
   };
 
   Shard& shard_for(const Key& key) const;
-  std::uint64_t generation_of(const std::string& machine_id) const;
 
   ServiceConfig config_;
   SmpEstimator estimator_;
   std::size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;
-
-  mutable std::mutex generation_mutex_;
-  std::unordered_map<std::string, std::uint64_t> generations_;
 
   // Per-instance instruments: the single storage behind both ServiceStats
   // (exact per-service snapshots, unpolluted by other instances) and the
@@ -191,7 +174,6 @@ class PredictionService {
   // The hot hit path therefore still costs exactly two relaxed atomic adds.
   Counter lookups_;
   Counter hits_;
-  Counter partial_hits_;
   Counter misses_;
   Counter evictions_;
   Counter invalidations_;

@@ -1,35 +1,8 @@
 #include "core/predictor.hpp"
 
-#include <chrono>
-#include <cstdlib>
-#include <cstring>
-
 #include "util/error.hpp"
 
 namespace fgcs {
-
-namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-enum class SolverChoice { kSparse, kCurves };
-
-/// FGCS_SOLVER selects the per-call solve path: "sparse" (default) runs the
-/// direct recursion, "curves" builds an AbsorptionCurves table and reads it —
-/// the CI golden leg uses the latter to prove the two are bit-identical.
-SolverChoice solver_choice() {
-  const char* env = std::getenv("FGCS_SOLVER");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "sparse") == 0)
-    return SolverChoice::kSparse;
-  if (std::strcmp(env, "curves") == 0) return SolverChoice::kCurves;
-  FGCS_REQUIRE_MSG(false, "FGCS_SOLVER must be 'sparse' or 'curves'");
-  return SolverChoice::kSparse;
-}
-
-}  // namespace
 
 SparseTrSolver::Result solve_from_curves(AbsorptionCurves& curves, State init,
                                          std::size_t n_steps) {
@@ -50,7 +23,6 @@ Prediction AvailabilityPredictor::predict(const MachineTrace& trace,
   Prediction prediction;
   prediction.steps = request.window.steps(trace.sampling_period());
 
-  const auto t0 = std::chrono::steady_clock::now();
   const std::vector<std::int64_t> days =
       estimator_.training_days_for(trace, request.target_day, request.window);
   const TransitionCounts counts =
@@ -62,20 +34,10 @@ Prediction AvailabilityPredictor::predict(const MachineTrace& trace,
           estimator_.majority_initial_state(trace, days, request.window));
   FGCS_REQUIRE_MSG(is_available(prediction.initial_state),
                    "initial state must be S1 or S2");
-  prediction.estimate_seconds = seconds_since(t0);
 
-  const auto t1 = std::chrono::steady_clock::now();
-  SparseTrSolver::Result result;
-  if (solver_choice() == SolverChoice::kCurves) {
-    AbsorptionCurves curves(model, prediction.steps);
-    result = curves.result_at(prediction.initial_state, prediction.steps);
-  } else {
-    static thread_local SolverScratch scratch;
-    const SparseTrSolver solver(model);
-    result = solver.solve(prediction.initial_state, prediction.steps, &scratch);
-  }
-  prediction.solve_seconds = seconds_since(t1);
-
+  const AbsorptionCurves curves(model, prediction.steps);
+  const SparseTrSolver::Result result =
+      curves.result_at(prediction.initial_state, prediction.steps);
   prediction.temporal_reliability = result.temporal_reliability;
   prediction.p_absorb = result.p_absorb;
   return prediction;

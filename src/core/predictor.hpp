@@ -48,9 +48,6 @@ struct Prediction {
   std::array<double, 3> p_absorb{0.0, 0.0, 0.0};
   std::size_t training_days_used = 0;
   std::size_t steps = 0;
-  /// Wall-clock cost split, for the Fig. 4 overhead experiment.
-  double estimate_seconds = 0.0;
-  double solve_seconds = 0.0;
 };
 
 class AvailabilityPredictor {
@@ -62,6 +59,9 @@ class AvailabilityPredictor {
   /// Predicts TR for the request. The window must lie within [0, 24h] of the
   /// target day (midnight wrap handled); the target day may equal
   /// trace.day_count() (i.e. "tomorrow" relative to the recorded history).
+  /// The Eq. 3 solve runs through AbsorptionCurves, the same table the
+  /// PredictionService caches, so the two agree bit for bit at every
+  /// horizon (SparseTrSolver stays the reference it is checked against).
   Prediction predict(const MachineTrace& trace,
                      const PredictionRequest& request) const;
 

@@ -12,11 +12,12 @@
 // deployments, where many managers share one service and the scheduler's
 // per-placement probes hit warm (Q, H) models whose absorption curves are
 // already tabulated: a warm query is an O(1) curve read, never a fresh
-// Eq. 3 solve. Whoever appends days to the
-// history must call PredictionService::invalidate(machine_id) afterwards
-// (see prediction_service.hpp for the staleness contract). Without a
-// service, queries run a private AvailabilityPredictor per call — the
-// paper's original single-machine behaviour.
+// Eq. 3 solve. Appending a day gives the history a new
+// MachineTrace::history_id(), so the service can never answer from the
+// pre-append entries; calling PredictionService::invalidate(machine_id)
+// afterwards is optional and only frees them early. Without a service,
+// queries run a private AvailabilityPredictor per call — the paper's
+// original single-machine behaviour.
 #pragma once
 
 #include <cstdint>

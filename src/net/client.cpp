@@ -22,10 +22,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Time left before `deadline`, rounded UP to whole milliseconds (a poll
+/// for the truncated value would wake before the deadline); 0 only once the
+/// deadline has passed.
 int remaining_ms(Clock::time_point deadline) {
   const auto left =
-      std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                            Clock::now())
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
           .count();
   return left <= 0 ? 0 : static_cast<int>(std::min<long long>(left, 60'000));
 }
@@ -420,10 +422,9 @@ void PredictionClient::wait_io(bool for_write, Clock::time_point deadline,
                         what);
       return;  // readable/writable (POLLHUP still lets read() see EOF)
     }
-    if (ready == 0)
-      throw DataError(std::string("net client: timed out waiting for ") +
-                      what);
-    if (errno != EINTR) throw_errno("poll");
+    // A poll timeout re-checks the deadline at the top of the loop rather
+    // than trusting the kernel's wake-up to land past it.
+    if (ready < 0 && errno != EINTR) throw_errno("poll");
   }
 }
 

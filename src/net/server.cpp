@@ -731,8 +731,7 @@ void PredictionServer::Reactor::dispatch_append(
             .next_index = result.next_index,
             .days_closed = result.days_closed,
             .days_retired = result.days_retired,
-            .generation =
-                server_.service_->history_generation(request.machine_id)};
+            .generation = result.total_days_closed};
         node->frame =
             encode_frame(FrameType::kAppendAck, encode_append_ack(ack));
       } catch (const RollupError& error) {
@@ -942,9 +941,9 @@ PredictionServer::PredictionServer(ServerConfig config,
   FGCS_REQUIRE_MSG(config_.reactors >= 1, "need at least one reactor");
   if (config_.ingest) {
     // The day-closed callback runs on whichever pool worker drove the
-    // append, under the machine's store lock; invalidate() is thread-safe
-    // and cheap (one generation bump). One closed day ⇒ exactly one bump —
-    // tests/net/ingest_differential_test.cpp pins that.
+    // append, under the machine's store lock. The closed day already gave
+    // the snapshot a new history id; invalidate() only frees the entries
+    // the old one can no longer reach.
     store_ = std::make_unique<TraceStore>(
         TraceStoreConfig{.retention_days = config_.ingest_retention_days},
         [this](const TraceStore::DayClosedEvent& event) {

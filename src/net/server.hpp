@@ -51,10 +51,11 @@
 // Streaming ingest (config.ingest): kAppendSamples frames route through the
 // same dispatch machinery — the owning reactor decodes the batch, the thread
 // pool runs the TraceStore append (so reactors never block on a day rollup),
-// and the ack rides the MPSC inbox back like any completion. Day closes
-// invalidate the machine in the PredictionService from inside the store
-// callback, and prediction batches resolve streamed machines via pinned
-// immutable snapshots, so serving and ingestion never contend on trace data.
+// and the ack rides the MPSC inbox back like any completion. Prediction
+// batches resolve streamed machines via pinned immutable snapshots, so
+// serving and ingestion never contend on trace data; each closed day makes
+// a new snapshot with a new history id, which the service's cache keys on,
+// and the store callback evicts the machine's dead entries early.
 //
 // Decentralized registry (DESIGN.md §11): a server given a node_id and a
 // ring (set_ring()) refuses request batches containing keys the ring
@@ -262,8 +263,7 @@ class PredictionServer {
   ServerConfig config_;
   std::shared_ptr<PredictionService> service_;
   /// Streaming ingest sink (config.ingest only). Its day-closed callback
-  /// invalidates the machine in service_, so one generation bump per closed
-  /// day is structural, not best-effort.
+  /// evicts the machine's now-unreachable entries from service_.
   std::unique_ptr<TraceStore> store_;
 
   std::map<std::string, MachineTrace> traces_;  // by machine_id, frozen at start()

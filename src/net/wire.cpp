@@ -12,6 +12,10 @@ namespace fgcs::net {
 
 namespace {
 
+/// One prediction record: TR, state byte, three absorptions, training days,
+/// steps (docs/WIRE.md §3).
+constexpr std::size_t kPredictionRecordBytes = 8 + 1 + 3 * 8 + 8 + 8;
+
 // All multi-byte fields are explicit little-endian so traces served across
 // heterogeneous fleets stay bit-identical regardless of host endianness.
 
@@ -204,7 +208,7 @@ std::vector<std::uint8_t> encode_response(std::span<const Prediction> results) {
   FGCS_REQUIRE_MSG(results.size() <= kMaxBatchItems,
                    "response batch exceeds kMaxBatchItems");
   std::vector<std::uint8_t> payload;
-  payload.reserve(4 + results.size() * 65);
+  payload.reserve(4 + results.size() * kPredictionRecordBytes);
   put_u32(payload, static_cast<std::uint32_t>(results.size()));
   for (const Prediction& p : results) {
     put_f64(payload, p.temporal_reliability);
@@ -212,8 +216,6 @@ std::vector<std::uint8_t> encode_response(std::span<const Prediction> results) {
     for (const double absorb : p.p_absorb) put_f64(payload, absorb);
     put_u64(payload, p.training_days_used);
     put_u64(payload, p.steps);
-    put_f64(payload, p.estimate_seconds);
-    put_f64(payload, p.solve_seconds);
   }
   return payload;
 }
@@ -224,7 +226,8 @@ std::vector<Prediction> decode_response(std::span<const std::uint8_t> payload) {
   if (count > kMaxBatchItems)
     throw DataError("wire: response batch count " + std::to_string(count) +
                     " exceeds limit " + std::to_string(kMaxBatchItems));
-  if (static_cast<std::size_t>(count) * 65 != reader.remaining())
+  if (static_cast<std::size_t>(count) * kPredictionRecordBytes !=
+      reader.remaining())
     throw DataError("wire: response batch count " + std::to_string(count) +
                     " does not match the payload size");
   std::vector<Prediction> results;
@@ -240,8 +243,6 @@ std::vector<Prediction> decode_response(std::span<const std::uint8_t> payload) {
     for (double& absorb : p.p_absorb) absorb = reader.f64();
     p.training_days_used = static_cast<std::size_t>(reader.u64());
     p.steps = static_cast<std::size_t>(reader.u64());
-    p.estimate_seconds = reader.f64();
-    p.solve_seconds = reader.f64();
     results.push_back(p);
   }
   reader.expect_done("response");

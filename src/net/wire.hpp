@@ -5,7 +5,7 @@
 //
 //   offset  size  field
 //        0     4  magic     0x46474353 ("FGCS")
-//        4     2  version   kWireVersion (3)
+//        4     2  version   kWireVersion (4)
 //        6     2  type      1 request | 2 response | 3 error
 //                           | 4 append-samples | 5 append-ack
 //                           | 6 gossip-sync | 7 gossip-ack | 8 wrong-shard
@@ -48,9 +48,10 @@ namespace fgcs::net {
 inline constexpr std::uint32_t kWireMagic = 0x46474353u;  // "FGCS"
 /// Version 2 added the append-samples / append-ack frame pair (streaming
 /// ingestion); version 3 added the decentralized-registry frames
-/// (gossip-sync / gossip-ack / wrong-shard). Any layout change bumps this
-/// (docs/WIRE.md §5).
-inline constexpr std::uint16_t kWireVersion = 3;
+/// (gossip-sync / gossip-ack / wrong-shard); version 4 dropped the two
+/// server-side timing doubles from each prediction record. Any layout
+/// change bumps this (docs/WIRE.md §5).
+inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Hard cap on a frame payload; a length field above this is a protocol
 /// error, not an allocation request (fuzz case: length overflow).
@@ -155,7 +156,7 @@ struct WireAppendAck {
   std::uint64_t next_index = 0;    ///< first absolute index not yet covered
   std::uint64_t days_closed = 0;   ///< days rolled into the trace by this batch
   std::uint64_t days_retired = 0;  ///< days retired from the sliding window
-  std::uint64_t generation = 0;    ///< history generation after the append
+  std::uint64_t generation = 0;    ///< machine's closed-day count after the append
 };
 
 /// Append payload: u16-length machine id, u8 epoch day-of-week, i64

@@ -1,6 +1,7 @@
 #include "trace/machine_trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <ostream>
 
@@ -12,6 +13,11 @@ namespace fgcs {
 namespace {
 constexpr std::uint32_t kMagic = 0x46474353;  // "FGCS"
 constexpr std::uint32_t kVersion = 1;
+
+std::uint64_t next_history_id() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 template <typename T>
 void write_pod(std::ostream& os, const T& value) {
@@ -32,7 +38,8 @@ MachineTrace::MachineTrace(std::string machine_id, Calendar calendar,
     : machine_id_(std::move(machine_id)),
       calendar_(calendar),
       sampling_period_(sampling_period),
-      total_mem_mb_(total_mem_mb) {
+      total_mem_mb_(total_mem_mb),
+      history_id_(next_history_id()) {
   FGCS_REQUIRE_MSG(sampling_period > 0 && kSecondsPerDay % sampling_period == 0,
                    "sampling period must divide 86400");
   FGCS_REQUIRE(total_mem_mb > 0);
@@ -42,6 +49,7 @@ void MachineTrace::append_day(std::vector<ResourceSample> samples) {
   FGCS_REQUIRE_MSG(samples.size() == samples_per_day(),
                    "day must contain exactly samples_per_day() samples");
   days_.push_back(std::move(samples));
+  history_id_ = next_history_id();
 }
 
 const ResourceSample& MachineTrace::at(std::int64_t day, std::size_t index) const {

@@ -4,6 +4,12 @@
 // by monitoring the host resource usages on a machine" (§4.2). The estimator
 // reads clock-time window slices of it; the evaluation harness splits it into
 // training and test day ranges.
+//
+// Every distinct history content carries a process-unique history_id():
+// construction, load(), slice() and each append_day() draw a fresh one from
+// a single atomic counter, while copies share their source's id (same
+// content). Caches key derived results on it, so "same id" means "same
+// history" without hashing a single sample.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +35,10 @@ class MachineTrace {
   SimTime sampling_period() const { return sampling_period_; }
   int total_mem_mb() const { return total_mem_mb_; }
 
+  /// Identity of this exact history: unique within the process, renewed by
+  /// every append_day(), shared by copies.
+  std::uint64_t history_id() const { return history_id_; }
+
   std::size_t samples_per_day() const {
     return static_cast<std::size_t>(kSecondsPerDay / sampling_period_);
   }
@@ -37,6 +47,7 @@ class MachineTrace {
   }
 
   /// Appends one day of samples; the vector must hold samples_per_day() items.
+  /// The trace gets a fresh history_id().
   void append_day(std::vector<ResourceSample> samples);
 
   DayType day_type(std::int64_t day) const { return calendar_.day_type(day); }
@@ -92,6 +103,7 @@ class MachineTrace {
   SimTime sampling_period_;
   int total_mem_mb_;
   std::vector<std::vector<ResourceSample>> days_;
+  std::uint64_t history_id_;
 };
 
 }  // namespace fgcs

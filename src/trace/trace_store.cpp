@@ -136,6 +136,7 @@ AppendResult TraceStore::append(const MachineSpec& spec,
     if (machine.buffer.size() == per_day) close_day(machine, result);
   }
   result.next_index = next;
+  result.total_days_closed = static_cast<std::uint64_t>(machine.closed_days);
   return result;
 }
 

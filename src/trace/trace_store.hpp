@@ -6,10 +6,11 @@
 // when the buffer fills it "closes" the day: a new MachineTrace is built
 // with the day appended (and, when a retention budget is set, the oldest
 // day retired — the paper's sliding N-day training history), then swapped
-// in as an immutable snapshot. Readers pin snapshots with shared_ptr, so
-// prediction batches never block behind ingestion and never observe a
-// half-rolled day; a close costs one O(history) trace copy per
-// machine-day, which at one close per day per machine is noise.
+// in as an immutable snapshot (with a fresh MachineTrace::history_id(), so
+// caches keyed on it never confuse two snapshots). Readers pin snapshots
+// with shared_ptr, so prediction batches never block behind ingestion and
+// never observe a half-rolled day; a close costs one O(history) trace copy
+// per machine-day, which at one close per day per machine is noise.
 //
 // Idempotence: appends whose indices the store already covers are counted
 // as duplicates and skipped, so a client may blindly retry a whole batch
@@ -78,6 +79,9 @@ struct AppendResult {
   std::uint64_t next_index = 0;
   std::uint64_t days_closed = 0;
   std::uint64_t days_retired = 0;
+  /// The machine's closed-day count after this append (retired days
+  /// included): one step per closed day, the wire ack's generation.
+  std::uint64_t total_days_closed = 0;
 };
 
 class TraceStore {

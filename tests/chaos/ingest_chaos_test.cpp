@@ -154,8 +154,10 @@ TEST_F(IngestChaosTest, RollupFailuresNeverWedgeOrDoubleCountADay) {
         << trace.machine_id();
     EXPECT_GT(totals.duplicates, 0u);  // the retried frames dedup
     expect_history_identical(trace);
-    EXPECT_EQ(service_->history_generation(trace.machine_id()),
-              static_cast<std::uint64_t>(trace.day_count()));
+    const TraceStore& store = *server_->store();
+    EXPECT_EQ(store.first_day_id(trace.machine_id()) +
+                  store.snapshot(trace.machine_id())->day_count(),
+              trace.day_count());
   }
   EXPECT_GT(Failpoints::instance().stats().find("ingest.rollup.fail")->fires,
             0u);

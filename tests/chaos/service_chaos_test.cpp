@@ -15,8 +15,10 @@
 
 #include "chaos_support.hpp"
 #include "core/predictor.hpp"
+#include "trace/trace_store.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "workload/trace_generator.hpp"
 
 namespace fgcs {
 namespace {
@@ -113,30 +115,95 @@ TEST_F(ServiceChaosTest, ConcurrentPredictsUnderInvalidationStayCorrect) {
             0u);
 }
 
-TEST_F(ServiceChaosTest, InvalidationRacingInsertSkipsDeadEntry) {
-  // Forces an invalidate() to land exactly between predict()'s compute phase
-  // and its insert lock. The generation re-check must skip the insert — the
-  // entry would be filed under a dead generation key, unreachable by every
-  // future lookup — and count the skip as a stale drop. The returned
-  // prediction itself is still correct.
-  Failpoints::instance().arm_from_spec("service.insert.race=once");
-  const MachineTrace trace = steady_trace("m0", 8);
+TEST_F(ServiceChaosTest, SnapshotStormServesEachSnapshotExactly) {
+  // One writer streams days into a TraceStore with a 4-day retention budget
+  // (every close also retires a day, so each snapshot has the same day count
+  // and the same training-day indices as the last) while readers predict
+  // through pinned snapshots. Day closes race lookups and inserts; whatever
+  // the interleaving, every served result must equal a fresh predictor run
+  // on the very snapshot the reader holds.
+  WorkloadParams params;
+  params.sampling_period = 60;
+  const MachineTrace source = TraceGenerator(params, 11).generate("m0", 16);
   PredictionService service;
-  const PredictionRequest request =
-      request_at(9 * kSecondsPerHour, kSecondsPerHour);
+  TraceStore store(TraceStoreConfig{.retention_days = 4},
+                   [&service](const TraceStore::DayClosedEvent& event) {
+                     service.invalidate(event.machine_id);
+                   });
+  store.adopt_trace(source.slice(0, 4));
+  const MachineSpec spec{.machine_id = "m0",
+                         .epoch_day_of_week = 0,
+                         .sampling_period = 60,
+                         .total_mem_mb = source.total_mem_mb()};
 
-  const Prediction got = service.predict(trace, request);
-  expect_same_prediction(got,
-                         AvailabilityPredictor().predict(trace, request));
-  EXPECT_EQ(service.size(), 0u);  // insert skipped, not misfiled
-  EXPECT_GE(service.stats().stale_drops, 1u);
-  EXPECT_EQ(service.stats().invalidations, 1u);
+  constexpr int kReaders = 3;
+  std::atomic<int> ready{0};  // readers that finished their first predict
+  std::atomic<bool> writing{true};
+  std::uint64_t retired = 0;
+  std::thread writer([&] {
+    while (ready.load() < kReaders) std::this_thread::yield();
+    const std::size_t per_day = source.samples_per_day();
+    std::vector<ResourceSample> chunk;
+    for (std::int64_t day = 4; day < source.day_count(); ++day) {
+      for (std::size_t at = 0; at < per_day; at += 90) {
+        chunk.clear();
+        for (std::size_t i = at; i < at + 90; ++i)
+          chunk.push_back(source.at(day, i));
+        retired += store
+                       .append(spec,
+                               static_cast<std::uint64_t>(day) * per_day + at,
+                               chunk)
+                       .days_retired;
+        std::this_thread::yield();
+      }
+    }
+    writing.store(false);
+  });
 
-  // Trigger spent: the next predict caches normally, then hits.
-  service.predict(trace, request);
-  EXPECT_EQ(service.size(), 1u);
-  expect_same_prediction(service.predict(trace, request), got);
-  EXPECT_EQ(service.stats().hits, 1u);
+  std::array<std::atomic<int>, kReaders> mismatches{};
+  std::array<std::atomic<int>, kReaders> reads{};
+  std::array<std::atomic<int>, kReaders> snapshots_seen{};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const AvailabilityPredictor reference;
+      const auto slot = static_cast<std::size_t>(r);
+      std::uint64_t last_id = 0;
+      // `finished` is read before the snapshot, so the last round always
+      // pins the writer's final snapshot.
+      bool finished = false;
+      for (int round = 0; !finished || round < 20; ++round) {
+        finished = !writing.load();
+        const std::shared_ptr<const MachineTrace> snapshot =
+            store.snapshot("m0");
+        if (snapshot->history_id() != last_id) snapshots_seen[slot].fetch_add(1);
+        last_id = snapshot->history_id();
+        const PredictionRequest request = request_at(
+            (8 + (r + round) % 4) * kSecondsPerHour, 2 * kSecondsPerHour,
+            snapshot->day_count());
+        const Prediction got = service.predict(*snapshot, request);
+        const Prediction want = reference.predict(*snapshot, request);
+        if (std::memcmp(&got.temporal_reliability, &want.temporal_reliability,
+                        sizeof(double)) != 0 ||
+            got.training_days_used != want.training_days_used)
+          mismatches[slot].fetch_add(1);
+        reads[slot].fetch_add(1);
+        if (round == 0) ready.fetch_add(1);
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(retired, 12u);
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(mismatches[r].load(), 0) << "reader " << r;
+    EXPECT_GE(reads[r].load(), 20) << "reader " << r;
+    // The first read ran before the writer started, the last after it
+    // finished: every reader crossed at least one day close.
+    EXPECT_GE(snapshots_seen[r].load(), 2) << "reader " << r;
+  }
+  EXPECT_EQ(service.stats().lookups, service.stats().hits + service.stats().misses);
 }
 
 TEST_F(ServiceChaosTest, InjectedEstimationFailureThrowsThenRecovers) {

@@ -47,9 +47,6 @@ TEST(PredictionServiceTest, WarmHitIsBitIdenticalToColdCall) {
   const Prediction cold = service.predict(trace, request);
   const Prediction warm = service.predict(trace, request);
   expect_identical(cold, warm);
-  // A hit returns the stored Prediction verbatim, timings included.
-  EXPECT_EQ(cold.estimate_seconds, warm.estimate_seconds);
-  EXPECT_EQ(cold.solve_seconds, warm.solve_seconds);
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.lookups, 2u);
@@ -76,10 +73,9 @@ TEST(PredictionServiceTest, MatchesPerCallPredictorExactly) {
             1.0);
 }
 
-// Satellite 2: the model is validated exactly once, when it enters the cache
-// (inside the curve build). Warm lookups — full hits AND partial hits for
-// the other initial state — must not construct a solver or re-run
-// SmpModel::validate.
+// The model is validated exactly once, when it enters the cache (inside the
+// curve build). Warm lookups — for either initial state — must not construct
+// a solver or re-run SmpModel::validate.
 TEST(PredictionServiceTest, WarmLookupsNeverRevalidateTheModel) {
   const MachineTrace trace = flaky_trace("m1");
   PredictionService service;
@@ -88,22 +84,22 @@ TEST(PredictionServiceTest, WarmLookupsNeverRevalidateTheModel) {
   service.predict(trace, request);  // cold: estimate + validate + curve build
 
   const std::uint64_t warm_start = smp_validate_calls();
-  service.predict(trace, request);  // full hit
+  service.predict(trace, request);  // hit
   PredictionRequest other = request;
   other.initial_state = State::kS2;
-  service.predict(trace, other);  // partial hit: new initial state
-  service.predict(trace, other);  // full hit on the now-cached S2 slot
+  service.predict(trace, other);  // hit: the other row of the same curves
+  service.predict(trace, other);
   EXPECT_EQ(smp_validate_calls(), warm_start);
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.partial_hits, 1u);
-  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.partial_hits, 0u);  // retired: always 0
 }
 
-// The partial-hit path reads the cached absorption curves instead of
-// re-running Eq. 3; both initial states must come out bit-identical to the
-// per-call predictor.
+// One entry's curves hold both initial states' rows; whichever state asks
+// second reads them instead of re-running Eq. 3, and both must come out
+// bit-identical to the per-call predictor.
 TEST(PredictionServiceTest, PartialHitMatchesPredictorForBothInitialStates) {
   const MachineTrace trace = flaky_trace("m1");
   PredictionService service;
@@ -118,7 +114,8 @@ TEST(PredictionServiceTest, PartialHitMatchesPredictorForBothInitialStates) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.partial_hits, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(service.size(), 1u);
 }
 
 TEST(PredictionServiceTest, InvalidateDropsExactlyThatMachine) {
@@ -133,21 +130,72 @@ TEST(PredictionServiceTest, InvalidateDropsExactlyThatMachine) {
 
   a.append_day(constant_day(60, 10));
   service.invalidate("a");
-  EXPECT_EQ(service.history_generation("a"), 1u);
-  EXPECT_EQ(service.history_generation("b"), 0u);
   EXPECT_EQ(service.size(), 1u);  // b's entry survives
+  EXPECT_EQ(service.stats().stale_drops, 1u);
 
   service.predict(b, request);  // still warm
-  service.predict(a, request);  // recomputed under the new generation
+  service.predict(a, request);  // the grown trace is a new history
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.invalidations, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 3u);
 }
 
+TEST(PredictionServiceTest, GrownTraceMissesWithoutInvalidate) {
+  // invalidate() is only an eviction hint: appending a day renews the
+  // trace's history id, so the next lookup cannot reach the old entry.
+  MachineTrace trace = flaky_trace("m1", 9);
+  PredictionService service;
+  const AvailabilityPredictor predictor(service.config().estimator);
+  const PredictionRequest request{.target_day = 9, .window = morning_window()};
+  service.predict(trace, request);
+  trace.append_day(constant_day(60, 10));
+  expect_identical(predictor.predict(trace, request),
+                   service.predict(trace, request));
+  EXPECT_EQ(service.stats().misses, 2u);
+  EXPECT_EQ(service.stats().hits, 0u);
+}
+
+// Regression: the cache used to key on (machine id, generation, day type,
+// window), so two different histories carrying one machine id shared an
+// entry and the second was served the first one's TR. Each served TR must
+// equal the predictor's on its own trace, bit for bit.
+TEST(PredictionServiceTest, HistoriesSharingAMachineIdNeverShareEntries) {
+  const MachineTrace first = TraceGenerator(WorkloadParams{}, 1).generate("m0", 21);
+  const MachineTrace second = TraceGenerator(WorkloadParams{}, 2).generate("m0", 21);
+  PredictionService service;
+  const AvailabilityPredictor predictor(service.config().estimator);
+  const PredictionRequest request{
+      .target_day = 21,
+      .window = {.start_of_day = 9 * kSecondsPerHour,
+                 .length = 2 * kSecondsPerHour}};
+  for (const MachineTrace* trace : {&first, &second, &first})
+    expect_identical(predictor.predict(*trace, request),
+                     service.predict(*trace, request));
+  EXPECT_EQ(service.stats().misses, 2u);
+  EXPECT_EQ(service.stats().hits, 1u);
+}
+
+TEST(PredictionServiceTest, SlicesOfOneTraceNeverShareEntries) {
+  const MachineTrace trace = TraceGenerator(WorkloadParams{}, 1).generate("m0", 14);
+  const MachineTrace early = trace.slice(0, 7);
+  const MachineTrace late = trace.slice(7, 14);
+  ASSERT_NE(early.history_id(), late.history_id());
+  PredictionService service;
+  const AvailabilityPredictor predictor(service.config().estimator);
+  const PredictionRequest request{
+      .target_day = 7,
+      .window = {.start_of_day = 9 * kSecondsPerHour,
+                 .length = 2 * kSecondsPerHour}};
+  for (const MachineTrace* slice : {&early, &late})
+    expect_identical(predictor.predict(*slice, request),
+                     service.predict(*slice, request));
+  EXPECT_EQ(service.stats().misses, 2u);
+}
+
 TEST(PredictionServiceTest, RevalidationCatchesChangedTrainingDays) {
   // Target days 10 and 8 share a day type but select different training-day
-  // sets; the second lookup must drop the cached model, not reuse it.
+  // sets; the target day is part of the key, so each gets its own model.
   const MachineTrace trace = flaky_trace("m1");
   PredictionService service;
   const AvailabilityPredictor predictor(service.config().estimator);
@@ -159,8 +207,8 @@ TEST(PredictionServiceTest, RevalidationCatchesChangedTrainingDays) {
                    service.predict(trace, day10));
   expect_identical(predictor.predict(trace, day8),
                    service.predict(trace, day8));
-  EXPECT_EQ(service.stats().stale_drops, 1u);
   EXPECT_EQ(service.stats().misses, 2u);
+  EXPECT_EQ(service.size(), 2u);
 }
 
 TEST(PredictionServiceTest, TimingCountersRegisterFastColdCalls) {
@@ -178,7 +226,7 @@ TEST(PredictionServiceTest, TimingCountersRegisterFastColdCalls) {
   EXPECT_GE(stats.pool.workers, 1u);
 }
 
-TEST(PredictionServiceTest, SecondInitialStateIsPartialHit) {
+TEST(PredictionServiceTest, SecondInitialStateIsAHit) {
   const MachineTrace trace = flaky_trace("m1");
   PredictionService service;
   const AvailabilityPredictor predictor(service.config().estimator);
@@ -192,7 +240,7 @@ TEST(PredictionServiceTest, SecondInitialStateIsPartialHit) {
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.partial_hits, 1u);  // model reused, solver re-run
+  EXPECT_EQ(stats.hits, 1u);  // the other row of the same curves
   EXPECT_EQ(service.size(), 1u);
 }
 
@@ -244,7 +292,7 @@ TEST(PredictionServiceTest, StatsCountersAddUp) {
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.lookups, 9u);
-  EXPECT_EQ(stats.lookups, stats.hits + stats.partial_hits + stats.misses);
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.hits, 5u);
   EXPECT_EQ(stats.batches, 2u);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/prediction_service.hpp"
+#include "core/sparse_solver.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "workload/trace_generator.hpp"
 
 namespace fgcs {
 namespace {
@@ -100,15 +103,51 @@ TEST(PredictorTest, TargetDayJustPastHistoryIsAllowed) {
       PreconditionError);
 }
 
-TEST(PredictorTest, TimingFieldsArePopulated) {
-  const MachineTrace trace = test::constant_trace(8, 30, 60);
+TEST(PredictorTest, MatchesSparseReferenceBitForBit) {
+  // The production path reads AbsorptionCurves; SparseTrSolver on the same
+  // estimated model is the Eq. 3 reference it must reproduce exactly.
+  WorkloadParams params;
+  params.sampling_period = 60;
+  const MachineTrace trace = TraceGenerator(params, 5).generate("m", 15);
   const AvailabilityPredictor predictor;
-  const Prediction p = predictor.predict(
-      trace, {.target_day = 7,
-              .window = {.start_of_day = 0, .length = 4 * kSecondsPerHour}});
-  EXPECT_GE(p.estimate_seconds, 0.0);
-  EXPECT_GE(p.solve_seconds, 0.0);
-  EXPECT_LT(p.estimate_seconds + p.solve_seconds, 5.0);
+  for (const SimTime start_hr : {2, 9, 14, 22}) {
+    for (const State init : {State::kS1, State::kS2}) {
+      const PredictionRequest request{
+          .target_day = trace.day_count(),
+          .window = {.start_of_day = start_hr * kSecondsPerHour,
+                     .length = 6 * kSecondsPerHour},
+          .initial_state = init};
+      const SmpModel model = predictor.estimator().estimate(
+          trace, request.target_day, request.window);
+      const SparseTrSolver::Result want =
+          SparseTrSolver(model).solve(init, 360);
+      const Prediction got = predictor.predict(trace, request);
+      EXPECT_EQ(got.temporal_reliability, want.temporal_reliability)
+          << start_hr << "h " << to_string(init);
+      EXPECT_EQ(got.p_absorb, want.p_absorb);
+    }
+  }
+}
+
+TEST(PredictorTest, AgreesWithServiceAboveFftCrossover) {
+  // 2 s samples make a 20 h window 36 000 steps, past the curves' 32 768-step
+  // FFT crossover. Predictor and service build the same curves, so they
+  // agree bit for bit there too.
+  WorkloadParams params;
+  params.sampling_period = 2;
+  const MachineTrace trace = TraceGenerator(params, 9).generate("m", 6);
+  const PredictionRequest request{
+      .target_day = trace.day_count(),
+      .window = {.start_of_day = 2 * kSecondsPerHour,
+                 .length = 20 * kSecondsPerHour}};
+  const Prediction direct = AvailabilityPredictor().predict(trace, request);
+  ASSERT_EQ(direct.steps, 36000u);
+  PredictionService service;
+  const Prediction served = service.predict(trace, request);
+  EXPECT_EQ(served.temporal_reliability, direct.temporal_reliability);
+  EXPECT_EQ(served.p_absorb, direct.p_absorb);
+  EXPECT_GE(direct.temporal_reliability, 0.0);
+  EXPECT_LE(direct.temporal_reliability, 1.0);
 }
 
 TEST(PredictorTest, RejectsFailureInitialState) {

@@ -83,10 +83,11 @@ WireAppendRequest request_shell(const MachineTrace& trace) {
 }
 
 /// Streams the whole trace in `batch`-sample frames, asserting after every
-/// ack that the service generation equals the number of days closed so far —
-/// i.e. one invalidation per day boundary and none for buffered samples.
+/// ack that the acked generation and the store's closed-day count both
+/// equal the number of days closed so far — one step per day boundary and
+/// none for buffered samples.
 void stream_and_check_generations(PredictionClient& client,
-                                  const PredictionService& service,
+                                  const TraceStore& store,
                                   const MachineTrace& trace,
                                   std::size_t batch) {
   WireAppendRequest request = request_shell(trace);
@@ -107,9 +108,12 @@ void stream_and_check_generations(PredictionClient& client,
     ASSERT_EQ(ack.duplicates, 0u);
     ASSERT_EQ(ack.next_index, index + count);
     closed_total += ack.days_closed;
-    // The acceptance clause: generation bumped exactly once per closed day.
+    // Generation steps exactly once per closed day.
     ASSERT_EQ(ack.generation, closed_total);
-    ASSERT_EQ(service.history_generation(trace.machine_id()), closed_total);
+    ASSERT_EQ(static_cast<std::uint64_t>(
+                  store.first_day_id(trace.machine_id()) +
+                  store.snapshot(trace.machine_id())->day_count()),
+              closed_total);
     ASSERT_EQ(closed_total, (index + count) / per_day);
     index += count;
   }
@@ -140,7 +144,8 @@ TEST(IngestDifferential, StreamedGoldenRowsServeBitIdentical) {
                                  per_day - 1};
   for (std::size_t m = 0; m < fleet.size(); ++m) {
     SCOPED_TRACE(fleet[m].machine_id());
-    stream_and_check_generations(client, *service, fleet[m], batches[m % 4]);
+    stream_and_check_generations(client, *server.store(), fleet[m],
+                                 batches[m % 4]);
     if (HasFatalFailure()) return;
   }
 

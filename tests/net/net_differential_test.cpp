@@ -263,5 +263,54 @@ TEST(NetTraceLoading, RootSandboxedLoadsServeBitIdenticalAndStayBounded) {
   EXPECT_LE(server.stats().loaded_traces, 1u + 1u);  // bounded (cap + batch)
 }
 
+TEST(NetTraceLoading, FilesSharingAnInternalIdServeTheirOwnHistory) {
+  // Regression: the server keys loaded traces by path but the prediction
+  // cache used to key them by the machine id stored inside the file, so
+  // a/m0 was served b/m0's TR. Each file must match in-process prediction
+  // on its own content, bit for bit, alone and in one batch.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::current_path() / "net-trace-id-collision-test";
+  fs::create_directories(root / "a");
+  fs::create_directories(root / "b");
+  WorkloadParams params;
+  params.sampling_period = 60;
+  const std::vector<MachineTrace> traces{
+      TraceGenerator(params, 1).generate("m0", 21),
+      TraceGenerator(params, 2).generate("m0", 21)};
+  const std::vector<std::string> keys{"a/m0", "b/m0"};
+  for (std::size_t i = 0; i < traces.size(); ++i)
+    traces[i].save_file((root / keys[i]).string());
+
+  ServerConfig config;
+  config.trace_root = root.string();
+  PredictionServer server(config, std::make_shared<PredictionService>());
+  server.start();
+  ClientConfig client_config;
+  client_config.port = server.port();
+  PredictionClient client(client_config);
+
+  const AvailabilityPredictor reference;
+  const PredictionRequest request{
+      .target_day = 21,
+      .window = {.start_of_day = 9 * kSecondsPerHour,
+                 .length = 2 * kSecondsPerHour}};
+  std::vector<WireRequestItem> batch;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    batch.push_back(WireRequestItem{.machine_key = keys[i], .request = request});
+    const Prediction served = client.predict(batch.back());
+    EXPECT_TRUE(same_bits(served.temporal_reliability,
+                          reference.predict(traces[i], request)
+                              .temporal_reliability))
+        << keys[i];
+  }
+  const std::vector<Prediction> served = client.predict_batch(batch);
+  for (std::size_t i = 0; i < traces.size(); ++i)
+    EXPECT_TRUE(same_bits(served[i].temporal_reliability,
+                          reference.predict(traces[i], request)
+                              .temporal_reliability))
+        << keys[i] << " (batched)";
+  server.stop();
+}
+
 }  // namespace
 }  // namespace fgcs::net

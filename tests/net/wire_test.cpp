@@ -64,8 +64,6 @@ TEST(WireResponse, DoublesAreBitExact) {
   a.p_absorb = {std::nextafter(0.0, 1.0), -0.0, 1.0 / 3.0};
   a.training_days_used = 15;
   a.steps = 720;
-  a.estimate_seconds = 1e-9;
-  a.solve_seconds = std::numeric_limits<double>::min();
   Prediction b;
   b.temporal_reliability = std::nextafter(1.0, 0.0);
   b.p_absorb = {0.25, 0.5, std::numeric_limits<double>::epsilon()};
@@ -82,9 +80,15 @@ TEST(WireResponse, DoublesAreBitExact) {
                             sent[i].p_absorb[static_cast<std::size_t>(k)]));
     EXPECT_EQ(back[i].training_days_used, sent[i].training_days_used);
     EXPECT_EQ(back[i].steps, sent[i].steps);
-    EXPECT_TRUE(same_bits(back[i].estimate_seconds, sent[i].estimate_seconds));
-    EXPECT_TRUE(same_bits(back[i].solve_seconds, sent[i].solve_seconds));
   }
+}
+
+TEST(WireResponse, PredictionRecordIs49Bytes) {
+  // v4: TR, state byte, three absorptions, training days, steps.
+  EXPECT_EQ(encode_response(std::vector<Prediction>(3)).size(), 4u + 3u * 49u);
+  std::vector<std::uint8_t> payload = encode_response(std::vector<Prediction>(1));
+  payload.push_back(0);
+  EXPECT_THROW(decode_response(payload), DataError);
 }
 
 TEST(WireError, MessageAndRetryableFlagRoundTrip) {
@@ -246,7 +250,7 @@ TEST(WireAppend, FramesAsTypeFourUnderCurrentVersion) {
   const std::vector<std::uint8_t> frame =
       encode_frame(FrameType::kAppendSamples, encode_append(append_request()));
   EXPECT_EQ(frame[4], kWireVersion);
-  EXPECT_EQ(frame[4], 3);  // appends exist since v2; current protocol is v3
+  EXPECT_EQ(frame[4], 4);  // appends exist since v2; current protocol is v4
   EXPECT_EQ(frame[6], 4);  // FrameType::kAppendSamples
   FrameDecoder decoder;
   decoder.feed(frame);

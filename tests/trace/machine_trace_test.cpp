@@ -138,6 +138,27 @@ TEST(MachineTraceTest, LoadRejectsTruncatedStream) {
   EXPECT_THROW(MachineTrace::load(truncated), DataError);
 }
 
+TEST(MachineTraceTest, HistoryIdNamesTheContent) {
+  MachineTrace trace = constant_trace(3, 10);
+  const MachineTrace copy = trace;  // same content, same id
+  EXPECT_EQ(copy.history_id(), trace.history_id());
+
+  const std::uint64_t before = trace.history_id();
+  trace.append_day(constant_day(60, 10));
+  EXPECT_NE(trace.history_id(), before);
+  EXPECT_EQ(copy.history_id(), before);
+
+  // Slices and loads are new histories even when their content equals an
+  // existing one's.
+  const MachineTrace whole = trace.slice(0, trace.day_count());
+  EXPECT_NE(whole.history_id(), trace.history_id());
+  std::stringstream buffer;
+  trace.save(buffer);
+  EXPECT_NE(MachineTrace::load(buffer).history_id(), trace.history_id());
+  EXPECT_NE(MachineTrace("x", Calendar(0), 60, 512).history_id(),
+            MachineTrace("x", Calendar(0), 60, 512).history_id());
+}
+
 TEST(MachineTraceTest, DayCsvHasHeaderAndRows) {
   const MachineTrace trace = constant_trace(1, 12, 3600);
   std::ostringstream os;

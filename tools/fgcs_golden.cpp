@@ -7,7 +7,12 @@
 // (target day, window start W_init, window length T) straight out of the
 // paper's evaluation axes — and compares against a committed CSV fixture.
 //
-//   fgcs_golden --check  [--file CSV]   recompute, fail on drift (default)
+//   fgcs_golden --check  [--file CSV]   recompute, fail on drift (default);
+//                                       every row is checked twice: through
+//                                       AvailabilityPredictor (the production
+//                                       curve path) and through
+//                                       SparseTrSolver, the Eq. 3 reference,
+//                                       on the same estimated model
 //   fgcs_golden --regen  [--file CSV]   rewrite the fixture
 //   fgcs_golden --selftest              prove the check catches a 1e-9 nudge
 //
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "core/predictor.hpp"
+#include "core/sparse_solver.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "workload/preemption.hpp"
@@ -66,7 +72,33 @@ std::vector<MachineTrace> golden_fleet(const std::string& workload) {
                         "golden");
 }
 
-std::vector<GoldenRow> compute_golden(const std::string& workload) {
+enum class Path { kPredictor, kSparseReference };
+
+const char* to_string(Path path) {
+  return path == Path::kPredictor ? "predictor" : "sparse reference";
+}
+
+/// TR for one row through `path`. The reference re-runs the estimator's
+/// steps by hand and solves Eq. 3 with the direct recursion.
+double golden_tr(const AvailabilityPredictor& predictor,
+                 const MachineTrace& trace, const PredictionRequest& request,
+                 Path path) {
+  if (path == Path::kPredictor)
+    return predictor.predict(trace, request).temporal_reliability;
+  const SmpEstimator& estimator = predictor.estimator();
+  const std::vector<std::int64_t> days = estimator.training_days_for(
+      trace, request.target_day, request.window);
+  const SmpModel model = estimator.build_model(
+      estimator.count_transitions(trace, days, request.window));
+  const State init =
+      estimator.majority_initial_state(trace, days, request.window);
+  return SparseTrSolver(model)
+      .solve(init, request.window.steps(trace.sampling_period()))
+      .temporal_reliability;
+}
+
+std::vector<GoldenRow> compute_golden(const std::string& workload,
+                                      Path path = Path::kPredictor) {
   const std::vector<MachineTrace> fleet = golden_fleet(workload);
   const std::vector<SimTime> lengths =
       workload == "preemption" ? std::vector<SimTime>{1, 6}
@@ -91,7 +123,7 @@ std::vector<GoldenRow> compute_golden(const std::string& workload) {
               .window = TimeWindow{.start_of_day = row.window_start,
                                    .length = row.window_length},
               .initial_state = std::nullopt};
-          row.tr = predictor.predict(trace, request).temporal_reliability;
+          row.tr = golden_tr(predictor, trace, request, path);
           rows.push_back(row);
         }
       }
@@ -141,25 +173,8 @@ int regen(const std::string& path, const std::string& workload) {
   return 0;
 }
 
-int check(const std::string& path, const std::string& workload) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr,
-                 "fgcs_golden: cannot open %s (run --regen first)\n",
-                 path.c_str());
-    return 1;
-  }
-  std::vector<GoldenRow> expected;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line.front() == '#') continue;
-    expected.push_back(
-        parse_row(line, path + ":" + std::to_string(line_no)));
-  }
-
-  const std::vector<GoldenRow> actual = compute_golden(workload);
+int compare(const std::vector<GoldenRow>& expected,
+            const std::vector<GoldenRow>& actual, Path solver) {
   if (expected.size() != actual.size()) {
     std::fprintf(stderr,
                  "fgcs_golden: DRIFT — fixture has %zu rows, grid computes "
@@ -181,9 +196,9 @@ int check(const std::string& path, const std::string& workload) {
     }
     if (std::fabs(want.tr - got.tr) > kTolerance) {
       std::fprintf(stderr,
-                   "fgcs_golden: DRIFT — %s day %lld start %lld len %lld: "
-                   "fixture %.17g vs computed %.17g (|Δ| %.3g)\n",
-                   got.machine.c_str(),
+                   "fgcs_golden: DRIFT (%s) — %s day %lld start %lld len "
+                   "%lld: fixture %.17g vs computed %.17g (|Δ| %.3g)\n",
+                   to_string(solver), got.machine.c_str(),
                    static_cast<long long>(got.target_day),
                    static_cast<long long>(got.window_start),
                    static_cast<long long>(got.window_length), want.tr, got.tr,
@@ -193,12 +208,40 @@ int check(const std::string& path, const std::string& workload) {
   }
   if (drifted > 0) {
     std::fprintf(stderr,
-                 "fgcs_golden: %zu of %zu rows drifted — if intentional, "
-                 "--regen and commit the new fixture\n",
-                 drifted, actual.size());
+                 "fgcs_golden: %zu of %zu rows drifted on the %s — if "
+                 "intentional, --regen and commit the new fixture\n",
+                 drifted, actual.size(), to_string(solver));
     return 1;
   }
-  std::printf("fgcs_golden: %zu rows match %s\n", actual.size(), path.c_str());
+  return 0;
+}
+
+int check(const std::string& path, const std::string& workload) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr,
+                 "fgcs_golden: cannot open %s (run --regen first)\n",
+                 path.c_str());
+    return 1;
+  }
+  std::vector<GoldenRow> expected;
+  std::string line;
+  std::size_t line_no = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty() || line.front() == '#') continue;
+    expected.push_back(
+        parse_row(line, path + ":" + std::to_string(line_no)));
+  }
+
+  for (const Path solver : {Path::kPredictor, Path::kSparseReference}) {
+    const int status = compare(expected, compute_golden(workload, solver),
+                               solver);
+    if (status != 0) return status;
+  }
+  std::printf("fgcs_golden: %zu rows match %s on the predictor and the "
+              "sparse reference\n",
+              expected.size(), path.c_str());
   return 0;
 }
 
