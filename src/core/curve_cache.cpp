@@ -1,6 +1,7 @@
 #include "core/curve_cache.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "core/fast_solver.hpp"
 #include "util/error.hpp"
@@ -11,6 +12,14 @@ namespace {
 
 constexpr std::size_t kS1 = index_of(State::kS1);
 constexpr std::size_t kS2 = index_of(State::kS2);
+
+/// Last lag l at which the weighted pmf q·pmf[l−1] is nonzero (0 if none).
+std::size_t support_end(double q, std::span<const double> pmf) {
+  if (q == 0.0) return 0;
+  std::size_t l = pmf.size();
+  while (l > 0 && q * pmf[l - 1] == 0.0) --l;
+  return l;
+}
 
 }  // namespace
 
@@ -24,22 +33,26 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
       FGCS_REQUIRE_MSG(model.q(index_of(failure), to) == 0.0,
                        "failure states must be absorbing");
 
-  // Cross-transition kernels over their full support, padded to a common
-  // length so the inner loop has one bound. Stored once: extension re-reads
-  // these, never the model.
-  a12_ = weighted_holding_pmf(model, kS1, kS2, model.h_pmf(kS1, kS2).size());
-  a21_ = weighted_holding_pmf(model, kS2, kS1, model.h_pmf(kS2, kS1).size());
-  kernel_limit_ = std::max(a12_.size(), a21_.size()) - 1;
-  a12_.resize(kernel_limit_ + 1, 0.0);
-  a21_.resize(kernel_limit_ + 1, 0.0);
+  // Cross-transition kernels, kept only at the lags where either is
+  // nonzero. Stored once: extension re-reads these, never the model.
+  const std::vector<double> a12 =
+      weighted_holding_pmf(model, kS1, kS2, model.h_pmf(kS1, kS2).size());
+  const std::vector<double> a21 =
+      weighted_holding_pmf(model, kS2, kS1, model.h_pmf(kS2, kS1).size());
+  for (std::size_t l = 1; l < std::max(a12.size(), a21.size()); ++l) {
+    const double k12 = l < a12.size() ? a12[l] : 0.0;
+    const double k21 = l < a21.size() ? a21[l] : 0.0;
+    if (k12 != 0.0 || k21 != 0.0) cross_.push_back({l, k12, k21});
+  }
 
   // The six weighted direct-absorption pmfs, interleaved into the same
   // 8-lane layout as the curves so the cumulative update is one strided row
-  // read per tick.
+  // read per tick, and stored only up to the last lag any of them reaches.
   for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
     const std::size_t j = index_of(kFailureStates[jj]);
-    wd_limit_ = std::max({wd_limit_, model.h_pmf(kS1, j).size(),
-                          model.h_pmf(kS2, j).size()});
+    wd_limit_ = std::max({wd_limit_,
+                          support_end(model.q(kS1, j), model.h_pmf(kS1, j)),
+                          support_end(model.q(kS2, j), model.h_pmf(kS2, j))});
   }
   wd_.assign((wd_limit_ + 1) * kLanes, 0.0);
   for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
@@ -48,14 +61,14 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
       const double q = model.q(row == 0 ? kS1 : kS2, j);
       if (q == 0.0) continue;
       const auto pmf = model.h_pmf(row == 0 ? kS1 : kS2, j);
-      for (std::size_t l = 1; l <= pmf.size(); ++l)
+      for (std::size_t l = 1; l <= std::min(pmf.size(), wd_limit_); ++l)
         wd_[l * kLanes + 4 * row + jj] = q * pmf[l - 1];
     }
   }
 
   p_.assign(kLanes, 0.0);  // row 0: nothing absorbed in zero ticks
   if (t_max > 0 && t_max >= config.fft_crossover) {
-    // Large fresh build: one O(n log² n) FFT pass instead of O(n²) ticks.
+    // Large fresh build: one O(n log² n) FFT pass instead of n ticks.
     const SparseTrSolver::Series series =
         FastTrSolver(model).solve_series(t_max);
     p_.assign((t_max + 1) * kLanes, 0.0);
@@ -76,25 +89,21 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
 }
 
 void AbsorptionCurves::compute_rows(std::size_t from_m, std::size_t to_m) {
-  const double* a12 = a12_.data();
-  const double* a21 = a21_.data();
   for (std::size_t m = from_m; m <= to_m; ++m) {
     if (m <= wd_limit_) {
       const double* wd = &wd_[m * kLanes];
       for (std::size_t lane = 0; lane < kLanes; ++lane) cum_[lane] += wd[lane];
     }
-    // One accumulator per series: per-series summation order matches
-    // SparseTrSolver's scalar recursion exactly (l ascending), so every
-    // produced double is bit-identical; lags past the kernel support only
-    // ever add exact zeros and are skipped.
+    // One accumulator per series, terms added in ascending lag order: the
+    // same per-series summation order as SparseTrSolver's scalar recursion.
+    // The lags skipped here would each add an exact +0.0, so every produced
+    // double is bit-identical.
     double acc[kLanes] = {};
-    const std::size_t l_hi = std::min(m - 1, kernel_limit_);
-    for (std::size_t l = 1; l <= l_hi; ++l) {
-      const double k12 = a12[l];
-      const double k21 = a21[l];
-      const double* prev = &p_[(m - l) * kLanes];
-      for (std::size_t jj = 0; jj < 3; ++jj) acc[jj] += k12 * prev[4 + jj];
-      for (std::size_t jj = 0; jj < 3; ++jj) acc[4 + jj] += k21 * prev[jj];
+    for (const CrossLag& cross : cross_) {
+      if (cross.lag >= m) break;
+      const double* prev = &p_[(m - cross.lag) * kLanes];
+      for (std::size_t jj = 0; jj < 3; ++jj) acc[jj] += cross.k12 * prev[4 + jj];
+      for (std::size_t jj = 0; jj < 3; ++jj) acc[4 + jj] += cross.k21 * prev[jj];
     }
     double* row = &p_[m * kLanes];
     for (std::size_t lane = 0; lane < kLanes; ++lane)

@@ -4,16 +4,23 @@
 // P_{i,j}(1..T_max) (i ∈ {S1,S2}, j ∈ {S3,S4,S5}) determine EVERY temporal
 // reliability the model can produce: TR(W) for a window of n ≤ T_max steps
 // is a three-entry table read plus a subtraction. An AbsorptionCurves object
-// runs the O(T²) recursion once, then answers any (initial state, horizon)
-// in O(1) — the structure the serving stack caches next to each memoized
-// model so warm queries never re-enter the solver (DESIGN.md §5).
+// runs the recursion once, then answers any (initial state, horizon) in
+// O(1) — the structure the serving stack caches next to each memoized model
+// so warm queries never re-enter the solver (DESIGN.md §5).
+//
+// Cost: O(T·k), where k is the number of lags at which either cross kernel
+// a12/a21 is nonzero. An estimated model's holding-time pmfs are nonzero only
+// at the holding times actually observed (tens, against a horizon of
+// thousands of ticks), so the recursion visits only those lags. Skipping a
+// zero lag is exact: it would add k·p = +0.0 to an accumulator that is
+// already ≥ +0.0, which leaves every bit unchanged.
 //
 // Layout: the six series are interleaved in one flat SoA array, 8 lanes per
-// tick — [P₁,₃ P₁,₄ P₁,₅ pad P₂,₃ P₂,₄ P₂,₅ pad] — so the recursion's
-// convolution inner loop touches two contiguous 32-byte groups per lag and
-// autovectorizes; each series keeps its own accumulator, so per-series
-// summation order — and therefore every bit of the result — is identical to
-// SparseTrSolver::solve on the same model and horizon.
+// tick — [P₁,₃ P₁,₄ P₁,₅ pad P₂,₃ P₂,₄ P₂,₅ pad] — so each visited lag reads
+// two contiguous 32-byte groups; each series keeps its own accumulator and
+// adds its terms in ascending lag order, so per-series summation order — and
+// therefore every bit of the result — is identical to SparseTrSolver::solve
+// on the same model and horizon.
 //
 // Crossover policy: a fresh build at T_max ≥ config.fft_crossover uses
 // FastTrSolver's O(n log² n) renewal path (agrees with the recursion to
@@ -72,6 +79,10 @@ class AbsorptionCurves {
   /// ticks; the two SparseTrSolver::solve calls it replaces cost 2·T).
   std::size_t recursion_ticks() const { return recursion_ticks_; }
 
+  /// Lags at which either cross kernel is nonzero: the k of a tick's O(k)
+  /// convolution.
+  std::size_t cross_lags() const { return cross_.size(); }
+
  private:
   static constexpr std::size_t kLanes = 8;  // [P1,3 P1,4 P1,5 _ P2,3 P2,4 P2,5 _]
 
@@ -80,15 +91,19 @@ class AbsorptionCurves {
   std::size_t t_max_ = 0;
   std::size_t recursion_ticks_ = 0;
   /// Interleaved weighted direct-absorption pmfs, same 8-lane layout as p_,
-  /// stored over their full support only (wd_limit_ rows).
+  /// stored up to their last nonzero row (wd_limit_).
   std::vector<double> wd_;
   std::size_t wd_limit_ = 0;
-  /// Cross-transition kernels a12/a21 (lag-indexed, semi_markov.hpp
-  /// convention), stored over their full support so extension never needs
-  /// the model again.
-  std::vector<double> a12_;
-  std::vector<double> a21_;
-  std::size_t kernel_limit_ = 0;
+  /// The cross-transition kernels a12/a21 (lag-indexed, semi_markov.hpp
+  /// convention) at the lags where either is nonzero, ascending — the only
+  /// lags the recursion visits. Stored once so extension never needs the
+  /// model again.
+  struct CrossLag {
+    std::size_t lag;
+    double k12;
+    double k21;
+  };
+  std::vector<CrossLag> cross_;
   /// Running per-lane cumulative direct absorption at t_max_, carried so
   /// extend_to() resumes the recursion mid-stream.
   std::array<double, kLanes> cum_{};

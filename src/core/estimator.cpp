@@ -120,12 +120,8 @@ TransitionCounts SmpEstimator::count_transitions(
     const MachineTrace& trace, std::span<const std::int64_t> days,
     const TimeWindow& window) const {
   validate(window);
-  const StateClassifier classifier(config_.thresholds, trace.sampling_period());
   TransitionCounts counts(window.steps(trace.sampling_period()));
-  for (const std::int64_t day : days) {
-    const std::vector<State> states = classifier.classify_window(trace, day, window);
-    counts.accumulate(states);
-  }
+  scan_days(trace, days, window, &counts);
   return counts;
 }
 
@@ -165,21 +161,38 @@ SmpModel SmpEstimator::build_model(const TransitionCounts& counts) const {
   return model;
 }
 
+SmpFit SmpEstimator::fit(const MachineTrace& trace, std::int64_t target_day,
+                         const TimeWindow& window) const {
+  const std::vector<std::int64_t> days =
+      training_days_for(trace, target_day, window);
+  TransitionCounts counts(window.steps(trace.sampling_period()));
+  const State majority = scan_days(trace, days, window, &counts);
+  return SmpFit{.model = build_model(counts),
+                .majority_initial = majority,
+                .training_days = days.size()};
+}
+
 SmpModel SmpEstimator::estimate(const MachineTrace& trace,
                                 std::int64_t target_day,
                                 const TimeWindow& window) const {
-  const std::vector<std::int64_t> days =
-      training_days_for(trace, target_day, window);
-  return build_model(count_transitions(trace, days, window));
+  return fit(trace, target_day, window).model;
 }
 
 State SmpEstimator::majority_initial_state(const MachineTrace& trace,
                                            std::span<const std::int64_t> days,
                                            const TimeWindow& window) const {
+  return scan_days(trace, days, window, nullptr);
+}
+
+State SmpEstimator::scan_days(const MachineTrace& trace,
+                              std::span<const std::int64_t> days,
+                              const TimeWindow& window,
+                              TransitionCounts* counts) const {
   const StateClassifier classifier(config_.thresholds, trace.sampling_period());
   std::size_t s1 = 0, s2 = 0;
   for (const std::int64_t day : days) {
     const std::vector<State> states = classifier.classify_window(trace, day, window);
+    if (counts != nullptr) counts->accumulate(states);
     if (states.empty()) continue;
     if (states.front() == State::kS1) ++s1;
     if (states.front() == State::kS2) ++s2;

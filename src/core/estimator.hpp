@@ -79,6 +79,14 @@ class TransitionCounts {
   std::array<std::uint32_t, 2> censored_{};    // per transient state
 };
 
+/// Everything one prediction needs from the history, estimated in one pass.
+struct SmpFit {
+  SmpModel model;
+  /// majority_initial_state over the same training days.
+  State majority_initial = State::kS1;
+  std::size_t training_days = 0;
+};
+
 class SmpEstimator {
  public:
   explicit SmpEstimator(EstimatorConfig config = {});
@@ -107,7 +115,13 @@ class SmpEstimator {
   /// Normalizes counts into a (possibly defective) SMP model.
   SmpModel build_model(const TransitionCounts& counts) const;
 
-  /// One-call estimation for (target_day, window) per the paper's rule.
+  /// One-call estimation for (target_day, window) per the paper's rule:
+  /// training_days_for, then count_transitions + build_model and
+  /// majority_initial_state, with each training day classified once.
+  SmpFit fit(const MachineTrace& trace, std::int64_t target_day,
+             const TimeWindow& window) const;
+
+  /// fit(...).model.
   SmpModel estimate(const MachineTrace& trace, std::int64_t target_day,
                     const TimeWindow& window) const;
 
@@ -118,6 +132,12 @@ class SmpEstimator {
                                const TimeWindow& window) const;
 
  private:
+  /// The one classification pass behind count_transitions,
+  /// majority_initial_state and fit: classifies each day once, adds its
+  /// sojourns to `counts` (when given) and returns the majority start state.
+  State scan_days(const MachineTrace& trace, std::span<const std::int64_t> days,
+                  const TimeWindow& window, TransitionCounts* counts) const;
+
   EstimatorConfig config_;
 };
 

@@ -125,22 +125,18 @@ Prediction PredictionService::predict(const MachineTrace& trace,
   // the only validate() on the entry's lifetime). Both run outside the
   // shard lock.
   TraceSpan estimate_span("service.estimate", &estimate_hist_);
-  const std::vector<std::int64_t> days =
-      estimator_.training_days_for(trace, request.target_day, request.window);
-  const SmpModel model = estimator_.build_model(
-      estimator_.count_transitions(trace, days, request.window));
-  const State majority =
-      estimator_.majority_initial_state(trace, days, request.window);
+  const SmpFit fit =
+      estimator_.fit(trace, request.target_day, request.window);
   estimate_span.finish();
   TraceSpan solve_span("service.solve", &solve_hist_);
-  Entry entry{.curves = AbsorptionCurves(model, steps),
-              .majority_initial = majority,
-              .training_days = days.size(),
+  Entry entry{.curves = AbsorptionCurves(fit.model, steps),
+              .majority_initial = fit.majority_initial,
+              .training_days = fit.training_days,
               .machine_id = trace.machine_id()};
   solve_span.finish();
   misses_.add();
-  const Prediction prediction =
-      read_curves(entry.curves, majority, days.size(), request, steps);
+  const Prediction prediction = read_curves(
+      entry.curves, entry.majority_initial, entry.training_days, request, steps);
 
   const std::lock_guard<std::mutex> lock(shard.mutex);
   // A concurrent miss on the same key may have inserted first; its entry

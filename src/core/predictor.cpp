@@ -23,19 +23,14 @@ Prediction AvailabilityPredictor::predict(const MachineTrace& trace,
   Prediction prediction;
   prediction.steps = request.window.steps(trace.sampling_period());
 
-  const std::vector<std::int64_t> days =
-      estimator_.training_days_for(trace, request.target_day, request.window);
-  const TransitionCounts counts =
-      estimator_.count_transitions(trace, days, request.window);
-  const SmpModel model = estimator_.build_model(counts);
-  prediction.training_days_used = days.size();
-  prediction.initial_state =
-      request.initial_state.value_or(
-          estimator_.majority_initial_state(trace, days, request.window));
+  const SmpFit fit =
+      estimator_.fit(trace, request.target_day, request.window);
+  prediction.training_days_used = fit.training_days;
+  prediction.initial_state = request.initial_state.value_or(fit.majority_initial);
   FGCS_REQUIRE_MSG(is_available(prediction.initial_state),
                    "initial state must be S1 or S2");
 
-  const AbsorptionCurves curves(model, prediction.steps);
+  const AbsorptionCurves curves(fit.model, prediction.steps);
   const SparseTrSolver::Result result =
       curves.result_at(prediction.initial_state, prediction.steps);
   prediction.temporal_reliability = result.temporal_reliability;

@@ -143,12 +143,6 @@ class PredictionServer::Reactor {
     std::uint64_t retired = 0;
   };
 
-  /// One path-loaded trace plus its recency stamp for LRU eviction.
-  struct LoadedTrace {
-    MachineTrace trace;
-    std::uint64_t last_used = 0;
-  };
-
   void wake();
   void handle_accept(std::uint32_t events);
   void drain_inbox(std::uint32_t events);
@@ -158,15 +152,14 @@ class PredictionServer::Reactor {
   void dispatch_request(Connection& conn, std::span<const std::uint8_t> payload);
   void dispatch_append(Connection& conn, std::span<const std::uint8_t> payload);
   void complete(const InboxNode& node);
-  void evict_loaded_traces();
-  /// Resolves a machine key to a trace for one batch. A hit on the ingest
-  /// store pushes its snapshot onto `pins`, which the caller must keep alive
-  /// until the batch completes (registered and path-loaded traces have their
-  /// own lifetime guarantees).
+  /// Resolves a machine key to a trace for one batch. A store snapshot or a
+  /// path-loaded trace is pushed onto `pins`, which the caller must keep
+  /// alive until the batch completes (registered traces live as long as
+  /// the server).
   const MachineTrace* resolve_trace(
       const std::string& key,
       std::vector<std::shared_ptr<const MachineTrace>>& pins);
-  const MachineTrace* load_trace(const std::string& key);
+  std::shared_ptr<const MachineTrace> load_trace(const std::string& key);
   void send_frame(Connection& conn, FrameType type,
                   std::span<const std::uint8_t> payload);
   void enqueue_bytes(Connection& conn, std::span<const std::uint8_t> bytes);
@@ -189,12 +182,6 @@ class PredictionServer::Reactor {
 
   std::unordered_map<int, Connection> connections_;  // reactor thread only
   std::uint64_t next_generation_ = 0;                // reactor thread only
-  std::map<std::string, LoadedTrace> loaded_paths_;  // reactor thread only
-  std::uint64_t load_clock_ = 0;                     // reactor thread only
-  /// Batches dispatched to the pool whose completion has not yet been
-  /// drained. While non-zero the loaded-trace cache must not evict (an
-  /// in-flight batch may hold pointers into it).
-  std::size_t in_flight_ = 0;                        // reactor thread only
   /// Pool tasks submitted but not yet finished pushing their node; stop()
   /// waits this out before reclaiming the inbox.
   std::atomic<std::uint64_t> pending_tasks_{0};
@@ -647,16 +634,12 @@ void PredictionServer::Reactor::dispatch_request(
       }
     }
   }
-  // Trim the loaded-trace cache only while no batch is in flight: pointers
-  // resolved below stay valid until their predict_batch returns, so the
-  // cache may transiently overshoot max_loaded_traces by the in-flight
-  // batches' (bounded) key sets.
-  if (in_flight_ == 0) evict_loaded_traces();
   std::vector<BatchRequest> batch;
   batch.reserve(items.size());
-  // Snapshots resolved from the ingest store are pinned for the batch's
-  // lifetime (moved into the pool task below): a concurrent day-close swaps
-  // the store's pointer but cannot free a trace a prediction still reads.
+  // Store snapshots and path-loaded traces are pinned for the batch's
+  // lifetime (moved into the pool task below): a concurrent day-close or
+  // loaded-trace eviction drops the shared reference but cannot free a
+  // trace a prediction still reads.
   std::vector<std::shared_ptr<const MachineTrace>> pins;
   for (const WireRequestItem& item : items)
     batch.push_back(
@@ -696,7 +679,6 @@ void PredictionServer::Reactor::dispatch_request(
     throw;
   }
   conn.busy = true;
-  ++in_flight_;
 }
 
 void PredictionServer::Reactor::dispatch_append(
@@ -758,11 +740,9 @@ void PredictionServer::Reactor::dispatch_append(
     throw;
   }
   conn.busy = true;
-  ++in_flight_;
 }
 
 void PredictionServer::Reactor::complete(const InboxNode& node) {
-  --in_flight_;
   const auto it = connections_.find(node.fd);
   // The connection may have closed (or its fd been reused by a later
   // accept) while the batch was in the pool; the generation mismatch makes
@@ -787,38 +767,29 @@ void PredictionServer::Reactor::complete(const InboxNode& node) {
   pump(conn);
 }
 
-void PredictionServer::Reactor::evict_loaded_traces() {
-  while (loaded_paths_.size() > server_.config_.max_loaded_traces) {
-    auto victim = loaded_paths_.begin();
-    for (auto it = loaded_paths_.begin(); it != loaded_paths_.end(); ++it)
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    loaded_paths_.erase(victim);
-  }
-  loaded_count_.store(loaded_paths_.size(), std::memory_order_relaxed);
-}
-
 const MachineTrace* PredictionServer::Reactor::resolve_trace(
     const std::string& key,
     std::vector<std::shared_ptr<const MachineTrace>>& pins) {
   if (const auto it = server_.traces_.find(key); it != server_.traces_.end())
     return &it->second;
-  if (server_.store_ != nullptr) {
-    if (std::shared_ptr<const MachineTrace> snap = server_.store_->snapshot(key)) {
-      pins.push_back(std::move(snap));
-      return pins.back().get();
-    }
-  }
-  if (const auto it = loaded_paths_.find(key); it != loaded_paths_.end()) {
-    it->second.last_used = ++load_clock_;
-    return &it->second.trace;
-  }
-  return load_trace(key);
+  std::shared_ptr<const MachineTrace> snap =
+      server_.store_ != nullptr ? server_.store_->snapshot(key) : nullptr;
+  pins.push_back(snap != nullptr ? std::move(snap) : load_trace(key));
+  return pins.back().get();
 }
 
-const MachineTrace* PredictionServer::Reactor::load_trace(
+std::shared_ptr<const MachineTrace> PredictionServer::Reactor::load_trace(
     const std::string& key) {
   if (server_.config_.trace_root.empty())
     throw DataError("net server: unknown machine key '" + key + "'");
+  // The lock is held across the file read, so reactors asking for one file
+  // at once load it once.
+  const std::lock_guard<std::mutex> lock(server_.loaded_mutex_);
+  auto& loaded = server_.loaded_;
+  if (const auto it = loaded.find(key); it != loaded.end()) {
+    it->second.last_used = ++server_.load_clock_;
+    return it->second.trace;
+  }
   // Sandbox the load: the key must canonicalize to a path under trace_root
   // (symlinks and ".." resolved), or the client is probing the filesystem.
   namespace fs = std::filesystem;
@@ -833,12 +804,24 @@ const MachineTrace* PredictionServer::Reactor::load_trace(
     throw DataError("net server: machine key '" + key +
                     "' is not a trace under the configured root");
   // Loading throws DataError itself when the path is not a readable trace.
-  const auto [it, inserted] = loaded_paths_.emplace(
-      key, LoadedTrace{.trace = MachineTrace::load_file(resolved.string()),
-                       .last_used = ++load_clock_});
+  auto trace = std::make_shared<const MachineTrace>(
+      MachineTrace::load_file(resolved.string()));
   trace_loads_.fetch_add(1, std::memory_order_relaxed);
-  loaded_count_.store(loaded_paths_.size(), std::memory_order_relaxed);
-  return &it->second.trace;
+  while (!loaded.empty() &&
+         loaded.size() >= server_.config_.max_loaded_traces) {
+    auto victim = loaded.begin();
+    for (auto it = loaded.begin(); it != loaded.end(); ++it)
+      if (it->second.last_used < victim->second.last_used) victim = it;
+    server_.reactors_[victim->second.loader]->loaded_count_.fetch_sub(
+        1, std::memory_order_relaxed);
+    loaded.erase(victim);
+  }
+  loaded.emplace(key, PredictionServer::LoadedTrace{
+                          .trace = trace,
+                          .last_used = ++server_.load_clock_,
+                          .loader = index_});
+  loaded_count_.fetch_add(1, std::memory_order_relaxed);
+  return trace;
 }
 
 void PredictionServer::Reactor::send_frame(

@@ -120,9 +120,10 @@ struct ServerConfig {
   /// default) disables filesystem loading entirely, so clients can only
   /// name registered traces. Registered ids always win over paths.
   std::string trace_root;
-  /// Cap on distinct path-loaded traces cached at once *per reactor*;
-  /// least-recently-used entries are evicted between batches (never while a
-  /// batch that may reference them is in flight).
+  /// Cap on distinct path-loaded traces cached at once, server-wide; the
+  /// least-recently-used entry is evicted to make room for a new load.
+  /// Batches in flight keep their own references, so eviction never frees a
+  /// trace a prediction still reads.
   std::size_t max_loaded_traces = 32;
   /// Accept kAppendSamples frames: monitors stream packed samples into a
   /// server-owned TraceStore, machines auto-register on first contact, and
@@ -267,6 +268,17 @@ class PredictionServer {
   std::unique_ptr<TraceStore> store_;
 
   std::map<std::string, MachineTrace> traces_;  // by machine_id, frozen at start()
+  /// Path-loaded traces (config.trace_root), shared by every reactor so one
+  /// file is loaded once and keeps one history id, hence one set of
+  /// prediction-cache entries. LRU-capped at max_loaded_traces.
+  struct LoadedTrace {
+    std::shared_ptr<const MachineTrace> trace;
+    std::uint64_t last_used = 0;
+    unsigned loader = 0;  ///< reactor whose loaded_traces stat counts it
+  };
+  std::map<std::string, LoadedTrace> loaded_;  // guarded by loaded_mutex_
+  std::uint64_t load_clock_ = 0;               // guarded by loaded_mutex_
+  std::mutex loaded_mutex_;
   /// Registry ring for shard routing; swapped whole under ring_mutex_ so
   /// reactors read a consistent immutable snapshot.
   std::shared_ptr<const HashRing> ring_;

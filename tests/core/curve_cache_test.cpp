@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/predictor.hpp"
@@ -81,6 +84,111 @@ TEST(CurveCacheTest, BitIdenticalToSparseSolverFuzz) {
     }
   }
   EXPECT_GE(cases, 500u);
+}
+
+/// `count` distinct random lags in [1, horizon] whose parity is `parity`
+/// (0 or 1), or of any parity when `parity` is 2.
+std::vector<std::size_t> random_lags(std::size_t horizon, std::size_t count,
+                                     int parity, Rng& rng) {
+  std::set<std::size_t> lags;
+  while (lags.size() < count) {
+    const auto l = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(horizon)));
+    if (parity == 2 || static_cast<int>(l % 2) == parity) lags.insert(l);
+  }
+  return {lags.begin(), lags.end()};
+}
+
+/// A normalized pmf over `horizon` lags, nonzero exactly at `lags`.
+std::vector<double> pmf_at(std::size_t horizon,
+                           const std::vector<std::size_t>& lags, Rng& rng) {
+  std::vector<double> pmf(horizon, 0.0);
+  double mass = 0.0;
+  for (const std::size_t l : lags) {
+    pmf[l - 1] = rng.uniform(0.05, 1.0);
+    mass += pmf[l - 1];
+  }
+  for (double& p : pmf) p /= mass;
+  return pmf;
+}
+
+// The shape estimated models have: horizon-length pmfs that are nonzero only
+// at a handful of observed holding times, so the recursion skips almost
+// every lag. Each trial draws 0-40 nonzero lags per kernel and cycles
+// through the edge cases: a12 all zero, a21 all zero, disjoint supports, and
+// a lag at 1 plus a lag at the horizon (reached once the table passes the
+// horizon) with direct absorption at tick 1. A fresh build and an extend_to() continuation must both match
+// the dense SparseTrSolver bit for bit, from both initial states.
+TEST(CurveCacheTest, SparseKernelsBitIdenticalToSparseSolver) {
+  constexpr std::size_t kS1 = 0, kS2 = 1;
+  for (int trial = 0; trial < 10; ++trial) {
+    Rng rng(static_cast<std::uint64_t>(9100 + trial));
+    const std::size_t horizon =
+        500 + static_cast<std::size_t>(trial) * 2500 / 9;  // 500..3000
+    const int kind = trial % 5;
+    const auto lag_count = [&rng] {
+      return static_cast<std::size_t>(rng.uniform_int(0, 40));
+    };
+    std::vector<std::size_t> lags12 =
+        kind == 0 ? std::vector<std::size_t>{}
+                  : random_lags(horizon, lag_count(), kind == 2 ? 1 : 2, rng);
+    std::vector<std::size_t> lags21 =
+        kind == 1 ? std::vector<std::size_t>{}
+                  : random_lags(horizon, lag_count(), kind == 2 ? 0 : 2, rng);
+    if (kind == 3)
+      for (std::vector<std::size_t>* lags : {&lags12, &lags21}) {
+        std::set<std::size_t> with_ends(lags->begin(), lags->end());
+        with_ends.insert({1, horizon});
+        lags->assign(with_ends.begin(), with_ends.end());
+      }
+
+    SmpModel model(kStateCount, horizon);
+    for (const std::size_t from : {kS1, kS2}) {
+      const std::vector<std::size_t>& cross = from == kS1 ? lags12 : lags21;
+      const double keep = trial % 2 == 0 ? 1.0 : rng.uniform(0.5, 1.0);
+      std::vector<std::pair<std::size_t, std::vector<std::size_t>>> exits;
+      if (!cross.empty()) exits.emplace_back(from == kS1 ? kS2 : kS1, cross);
+      for (const State failure : kFailureStates) {
+        exits.emplace_back(index_of(failure),
+                           random_lags(horizon, 1 + lag_count(), 2, rng));
+        // Direct absorption at tick 1 makes P(1) nonzero, so every cross
+        // lag l also meets a nonzero term at m = l + 1.
+        if (kind == 3 && exits.back().second.front() != 1)
+          exits.back().second.insert(exits.back().second.begin(), 1);
+      }
+      std::vector<double> weights(exits.size());
+      double total = 0.0;
+      for (double& w : weights) total += w = rng.uniform(0.05, 1.0);
+      for (std::size_t e = 0; e < exits.size(); ++e) {
+        model.set_q(from, exits[e].first, keep * weights[e] / total);
+        model.set_h_pmf(from, exits[e].first,
+                        pmf_at(horizon, exits[e].second, rng));
+      }
+    }
+
+    std::set<std::size_t> cross_union(lags12.begin(), lags12.end());
+    cross_union.insert(lags21.begin(), lags21.end());
+    const std::size_t t_max =
+        horizon - 50 + static_cast<std::size_t>(rng.uniform_int(0, 100));
+    const AbsorptionCurves fresh(model, t_max);
+    EXPECT_EQ(fresh.cross_lags(), cross_union.size()) << "trial=" << trial;
+    const std::size_t t0 = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(t_max / 2)));
+    AbsorptionCurves grown(model, t0);
+    grown.extend_to(t_max);
+
+    const SparseTrSolver solver(model);
+    const std::size_t mid = static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(t0) + 1, static_cast<std::int64_t>(t_max)));
+    for (const std::size_t n : {t_max, mid})
+      for (const State init : {State::kS1, State::kS2}) {
+        SCOPED_TRACE("trial=" + std::to_string(trial) + " n=" +
+                     std::to_string(n) + " init=" + to_string(init));
+        const SparseTrSolver::Result want = solver.solve(init, n);
+        expect_identical(fresh.result_at(init, n), want);
+        expect_identical(grown.result_at(init, n), want);
+      }
+  }
 }
 
 TEST(CurveCacheTest, CurvesAreMonotoneNonDecreasingInT) {

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "workload/trace_generator.hpp"
 
 namespace fgcs {
 namespace {
@@ -161,6 +163,103 @@ TEST(EstimatorTest, MajorityInitialState) {
   const std::vector<std::int64_t> tie{0, 1};
   EXPECT_EQ(estimator.majority_initial_state(trace, tie, w), State::kS1);
   EXPECT_EQ(estimator.majority_initial_state(trace, {}, w), State::kS1);
+}
+
+void expect_same_model(const SmpModel& got, const SmpModel& want) {
+  ASSERT_EQ(got.n_states(), want.n_states());
+  ASSERT_EQ(got.horizon(), want.horizon());
+  for (std::size_t from = 0; from < got.n_states(); ++from)
+    for (std::size_t to = 0; to < got.n_states(); ++to) {
+      EXPECT_EQ(got.q(from, to), want.q(from, to)) << from << "->" << to;
+      const auto g = got.h_pmf(from, to);
+      const auto w = want.h_pmf(from, to);
+      EXPECT_EQ(std::vector<double>(g.begin(), g.end()),
+                std::vector<double>(w.begin(), w.end()))
+          << from << "->" << to;
+    }
+}
+
+/// fit() against the two-pass pipeline it replaces, field by field.
+SmpFit expect_fit_matches_pipeline(const SmpEstimator& estimator,
+                                   const MachineTrace& trace,
+                                   std::int64_t target_day,
+                                   const TimeWindow& window) {
+  const SmpFit fit = estimator.fit(trace, target_day, window);
+  const std::vector<std::int64_t> days =
+      estimator.training_days_for(trace, target_day, window);
+  expect_same_model(fit.model, estimator.build_model(estimator.count_transitions(
+                                   trace, days, window)));
+  EXPECT_EQ(fit.majority_initial,
+            estimator.majority_initial_state(trace, days, window));
+  EXPECT_EQ(fit.training_days, days.size());
+  return fit;
+}
+
+/// A 6 s-period day at `load_pct` whose 09:00 window opens, when `spike` is
+/// set, on an 18 s burst above Th2 (shorter than the 1 min transient limit),
+/// and holds a steady 12 min above Th2 half an hour in.
+std::vector<ResourceSample> nine_oclock_day(int load_pct, bool spike) {
+  std::vector<ResourceSample> day = constant_day(6, load_pct);
+  const std::size_t nine = 9 * kSecondsPerHour / 6;
+  if (spike)
+    for (std::size_t i = 0; i < 3; ++i) day[nine + i] = sample(95);
+  for (std::size_t i = 300; i < 420; ++i) day[nine + i] = sample(95);
+  return day;
+}
+
+TEST(EstimatorTest, FitMatchesTwoPassPipeline) {
+  // Generated histories: mid-history and forecast targets, morning and
+  // midnight-wrapping windows, default and all-history training sets.
+  WorkloadParams params;
+  params.sampling_period = 60;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const MachineTrace trace = TraceGenerator(params, seed).generate("m", 21);
+    for (const std::size_t n : {std::size_t{10}, std::size_t{0}}) {
+      EstimatorConfig config;
+      config.training_days = n;
+      const SmpEstimator estimator(config);
+      for (const std::int64_t day : {14, 21})
+        for (const SimTime start : {2, 9, 22}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) + " day=" +
+                       std::to_string(day) + " start=" + std::to_string(start));
+          expect_fit_matches_pipeline(
+              estimator, trace, day,
+              TimeWindow{.start_of_day = start * kSecondsPerHour,
+                         .length = 4 * kSecondsPerHour});
+        }
+    }
+  }
+
+  // Crafted history (days 0-4 weekdays, 5-6 a weekend): three windows open
+  // on a short spike the transient rule relabels from the right (into S2 on
+  // days 0, 1 and 4, into S1 on day 3), and day 2 opens plainly in S1.
+  MachineTrace trace("m", Calendar(0), 6, 512);
+  trace.append_day(nine_oclock_day(40, true));
+  trace.append_day(nine_oclock_day(40, true));
+  trace.append_day(nine_oclock_day(10, false));
+  trace.append_day(nine_oclock_day(10, true));
+  trace.append_day(nine_oclock_day(40, true));
+  trace.append_day(constant_day(6, 10));
+  trace.append_day(constant_day(6, 10));
+  EstimatorConfig config;
+  config.training_days = 0;
+  const SmpEstimator estimator(config);
+  const TimeWindow window{.start_of_day = 9 * kSecondsPerHour,
+                          .length = kSecondsPerHour};
+  // Days 0-4: the relabelled spikes decide the majority (S2 three to two).
+  const SmpFit relabelled =
+      expect_fit_matches_pipeline(estimator, trace, 7, window);
+  EXPECT_EQ(relabelled.majority_initial, State::kS2);
+  EXPECT_EQ(relabelled.training_days, 5u);
+  // Days 0-3: two S2 starts against two S1 starts, a tie that goes to S1.
+  const SmpFit tie = expect_fit_matches_pipeline(estimator, trace, 4, window);
+  EXPECT_EQ(tie.majority_initial, State::kS1);
+  EXPECT_EQ(tie.training_days, 4u);
+  // Day 5 is the first weekend day: no eligible training day at all.
+  const SmpFit none = expect_fit_matches_pipeline(estimator, trace, 5, window);
+  EXPECT_EQ(none.training_days, 0u);
+  EXPECT_EQ(none.majority_initial, State::kS1);
+  EXPECT_EQ(none.model.exit_mass(index_of(State::kS1)), 0.0);
 }
 
 TEST(EstimatorTest, RejectsNegativeAlpha) {

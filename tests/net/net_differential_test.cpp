@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -210,7 +211,8 @@ INSTANTIATE_TEST_SUITE_P(Reactors, NetDifferentialTest,
 TEST(NetTraceLoading, RootSandboxedLoadsServeBitIdenticalAndStayBounded) {
   // A server with trace_root set loads path-named traces from under the
   // root only, serves them bit-identically to in-process prediction, and
-  // LRU-evicts the loaded cache down to max_loaded_traces between requests.
+  // LRU-evicts the loaded cache so it never holds more than
+  // max_loaded_traces.
   namespace fs = std::filesystem;
   const fs::path root = fs::current_path() / "net-trace-root-test";
   fs::create_directories(root);
@@ -260,7 +262,7 @@ TEST(NetTraceLoading, RootSandboxedLoadsServeBitIdenticalAndStayBounded) {
 
   server.stop();
   EXPECT_GE(server.stats().trace_loads, 4u);  // alternation reloaded traces
-  EXPECT_LE(server.stats().loaded_traces, 1u + 1u);  // bounded (cap + batch)
+  EXPECT_LE(server.stats().loaded_traces, 1u);  // bounded by the cap
 }
 
 TEST(NetTraceLoading, FilesSharingAnInternalIdServeTheirOwnHistory) {
@@ -310,6 +312,55 @@ TEST(NetTraceLoading, FilesSharingAnInternalIdServeTheirOwnHistory) {
                               .temporal_reliability))
         << keys[i] << " (batched)";
   server.stop();
+}
+
+TEST(NetTraceLoading, OneFileIsLoadedOnceAcrossReactors) {
+  // Regression: each reactor kept its own loaded-trace map, so one file was
+  // loaded once per reactor, and every load was a new history id with its
+  // own prediction-cache entry. Four connections dealt round-robin onto
+  // four reactors, all asking one file for one window, must share one load
+  // and one miss.
+  namespace fs = std::filesystem;
+  const fs::path root = fs::current_path() / "net-trace-shared-load-test";
+  fs::create_directories(root);
+  WorkloadParams params;
+  params.sampling_period = 60;
+  const MachineTrace trace = TraceGenerator(params, 3).generate("m0", 14);
+  trace.save_file((root / "m0").string());
+
+  ServerConfig config;
+  config.trace_root = root.string();
+  config.reactors = 4;
+  config.force_accept_handoff = true;
+  const auto service = std::make_shared<PredictionService>();
+  PredictionServer server(config, service);
+  server.start();
+
+  const PredictionRequest request{
+      .target_day = 14,
+      .window = {.start_of_day = 9 * kSecondsPerHour,
+                 .length = 2 * kSecondsPerHour}};
+  const double expected =
+      AvailabilityPredictor{}.predict(trace, request).temporal_reliability;
+  std::vector<std::unique_ptr<PredictionClient>> clients;
+  for (int c = 0; c < 4; ++c) {
+    ClientConfig client_config;
+    client_config.port = server.port();
+    clients.push_back(std::make_unique<PredictionClient>(client_config));
+    const Prediction served = clients.back()->predict(
+        WireRequestItem{.machine_key = "m0", .request = request});
+    EXPECT_TRUE(same_bits(served.temporal_reliability, expected))
+        << "connection " << c;
+  }
+  clients.clear();
+  server.stop();
+
+  for (const ServerStats& shard : server.reactor_stats())
+    EXPECT_EQ(shard.requests, 1u);  // one connection per reactor
+  EXPECT_EQ(server.stats().trace_loads, 1u);
+  EXPECT_EQ(server.stats().loaded_traces, 1u);
+  EXPECT_EQ(service->stats().misses, 1u);
+  EXPECT_EQ(service->stats().hits, 3u);
 }
 
 }  // namespace

@@ -78,22 +78,17 @@ const char* to_string(Path path) {
   return path == Path::kPredictor ? "predictor" : "sparse reference";
 }
 
-/// TR for one row through `path`. The reference re-runs the estimator's
-/// steps by hand and solves Eq. 3 with the direct recursion.
+/// TR for one row through `path`. The reference solves the same estimated
+/// model with SparseTrSolver's dense direct recursion.
 double golden_tr(const AvailabilityPredictor& predictor,
                  const MachineTrace& trace, const PredictionRequest& request,
                  Path path) {
   if (path == Path::kPredictor)
     return predictor.predict(trace, request).temporal_reliability;
-  const SmpEstimator& estimator = predictor.estimator();
-  const std::vector<std::int64_t> days = estimator.training_days_for(
-      trace, request.target_day, request.window);
-  const SmpModel model = estimator.build_model(
-      estimator.count_transitions(trace, days, request.window));
-  const State init =
-      estimator.majority_initial_state(trace, days, request.window);
-  return SparseTrSolver(model)
-      .solve(init, request.window.steps(trace.sampling_period()))
+  const SmpFit fit = predictor.estimator().fit(trace, request.target_day,
+                                               request.window);
+  return SparseTrSolver(fit.model)
+      .solve(fit.majority_initial, request.window.steps(trace.sampling_period()))
       .temporal_reliability;
 }
 
