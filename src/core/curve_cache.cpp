@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "core/fast_solver.hpp"
 #include "util/error.hpp"
 
 namespace fgcs {
@@ -23,8 +22,7 @@ std::size_t support_end(double q, std::span<const double> pmf) {
 
 }  // namespace
 
-AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
-                                   CurveConfig config) {
+AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max) {
   FGCS_REQUIRE_MSG(model.n_states() == kStateCount,
                    "AbsorptionCurves requires the 5-state FGCS model");
   model.validate();
@@ -67,25 +65,7 @@ AbsorptionCurves::AbsorptionCurves(const SmpModel& model, std::size_t t_max,
   }
 
   p_.assign(kLanes, 0.0);  // row 0: nothing absorbed in zero ticks
-  if (t_max > 0 && t_max >= config.fft_crossover) {
-    // Large fresh build: one O(n log² n) FFT pass instead of n ticks.
-    const SparseTrSolver::Series series =
-        FastTrSolver(model).solve_series(t_max);
-    p_.assign((t_max + 1) * kLanes, 0.0);
-    for (std::size_t m = 0; m <= t_max; ++m)
-      for (std::size_t jj = 0; jj < kFailureStates.size(); ++jj) {
-        p_[m * kLanes + jj] = series[0][jj][m];
-        p_[m * kLanes + 4 + jj] = series[1][jj][m];
-      }
-    // Seed the running cumulative sums so extend_to() can resume the direct
-    // recursion from t_max.
-    for (std::size_t m = 1; m <= std::min(t_max, wd_limit_); ++m)
-      for (std::size_t lane = 0; lane < kLanes; ++lane)
-        cum_[lane] += wd_[m * kLanes + lane];
-    t_max_ = t_max;
-  } else {
-    extend_to(t_max);
-  }
+  extend_to(t_max);
 }
 
 void AbsorptionCurves::compute_rows(std::size_t from_m, std::size_t to_m) {

@@ -22,12 +22,17 @@
 // therefore every bit of the result — is identical to SparseTrSolver::solve
 // on the same model and horizon.
 //
-// Crossover policy: a fresh build at T_max ≥ config.fft_crossover uses
-// FastTrSolver's O(n log² n) renewal path (agrees with the recursion to
-// ~1e-10, not bit-exact — the default crossover sits far above every window
-// the paper's 24-hour grids can produce). extend_to() always CONTINUES the
-// direct recursion, growing T_max geometrically and leaving the existing
-// prefix bit-for-bit untouched.
+// Growth: extend_to() continues the same recursion in place, growing T_max
+// geometrically and leaving the existing prefix bit-for-bit untouched, so a
+// table built to T and extended to T' equals a fresh build to T'.
+//
+// Bound on k: with laplace_alpha = 0 every nonzero lag is a hold observed at
+// least once in N training days of at most T ticks each, and distinct holds
+// summing to at most N·T number k ≤ √(2·N·T) — about 1 300 at a 1 s period,
+// 24 h and ten days, so even the longest window a TraceStore accepts builds
+// in well under a second. laplace_alpha > 0 gives a never-observed S1↔S2
+// transition a uniform holding pmf, a dense kernel (k = T) and an O(T²)
+// build (DESIGN.md §5.2).
 #pragma once
 
 #include <array>
@@ -40,28 +45,19 @@
 
 namespace fgcs {
 
-struct CurveConfig {
-  /// Fresh builds at or above this many steps go through the FFT renewal
-  /// solver; below it (every realistic window) the direct recursion runs and
-  /// results are bit-identical to SparseTrSolver.
-  std::size_t fft_crossover = 32768;
-};
-
 class AbsorptionCurves {
  public:
   /// Validates the model once (5-state FGCS layout, probability axioms,
   /// absorbing failure states — the checks SparseTrSolver's constructor ran
   /// per solve) and computes the curves up to `t_max` steps. The model is
   /// only read during construction; no reference is retained.
-  explicit AbsorptionCurves(const SmpModel& model, std::size_t t_max,
-                            CurveConfig config = {});
+  explicit AbsorptionCurves(const SmpModel& model, std::size_t t_max);
 
   /// Largest horizon currently tabulated.
   std::size_t t_max() const { return t_max_; }
 
-  /// O(1): the SparseTrSolver::solve(init, n_steps) result, bit-identical
-  /// when the table was built by the direct recursion. Requires
-  /// n_steps ≤ t_max() and an available `init`.
+  /// O(1): the SparseTrSolver::solve(init, n_steps) result, bit-identical.
+  /// Requires n_steps ≤ t_max() and an available `init`.
   SparseTrSolver::Result result_at(State init, std::size_t n_steps) const;
 
   /// Grows the table to cover at least `n_steps` (geometric doubling, so a

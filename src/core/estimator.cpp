@@ -157,7 +157,6 @@ SmpModel SmpEstimator::build_model(const TransitionCounts& counts) const {
       model.set_h_pmf(i, k, std::move(pmf));
     }
   }
-  model.validate();
   return model;
 }
 

@@ -112,7 +112,9 @@ class SmpEstimator {
                                      std::span<const std::int64_t> days,
                                      const TimeWindow& window) const;
 
-  /// Normalizes counts into a (possibly defective) SMP model.
+  /// Normalizes counts into a (possibly defective) SMP model. The result
+  /// satisfies SmpModel::validate() by construction (pinned by tests); it is
+  /// not re-checked here, because every solver validates at its boundary.
   SmpModel build_model(const TransitionCounts& counts) const;
 
   /// One-call estimation for (target_day, window) per the paper's rule:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 
 #include "core/sparse_solver.hpp"
 #include "util/error.hpp"
@@ -121,9 +122,8 @@ Prediction PredictionService::predict(const MachineTrace& trace,
   }
 
   // Miss: estimate the model and tabulate both initial states up to the
-  // window horizon (validation happens here, in the curves constructor —
-  // the only validate() on the entry's lifetime). Both run outside the
-  // shard lock.
+  // window horizon (the curves constructor runs the entry's only
+  // validate()). Both run outside the shard lock.
   TraceSpan estimate_span("service.estimate", &estimate_hist_);
   const SmpFit fit =
       estimator_.fit(trace, request.target_day, request.window);
@@ -152,7 +152,8 @@ Prediction PredictionService::predict(const MachineTrace& trace,
   return prediction;
 }
 
-std::vector<Prediction> PredictionService::predict_batch(
+template <typename Result>
+std::vector<Result> PredictionService::run_batch(
     std::span<const BatchRequest> requests) {
   TraceSpan span("service.batch", &batch_hist_);
   batches_.add();
@@ -162,38 +163,32 @@ std::vector<Prediction> PredictionService::predict_batch(
     FGCS_REQUIRE_MSG(request.trace != nullptr,
                      "batch request carries a null trace");
 
-  std::vector<Prediction> predictions(requests.size());
+  std::vector<Result> predictions(requests.size());
   parallel_for(
       requests.size(),
       [&](std::size_t i) {
-        predictions[i] = predict(*requests[i].trace, requests[i].request);
+        if constexpr (std::is_same_v<Result, Prediction>) {
+          predictions[i] = predict(*requests[i].trace, requests[i].request);
+        } else {
+          try {
+            predictions[i] = predict(*requests[i].trace, requests[i].request);
+          } catch (const DataError&) {
+            // This machine stays nullopt; the rest of the batch proceeds.
+          }
+        }
       },
       config_.max_threads);
   return predictions;
 }
 
+std::vector<Prediction> PredictionService::predict_batch(
+    std::span<const BatchRequest> requests) {
+  return run_batch<Prediction>(requests);
+}
+
 std::vector<std::optional<Prediction>> PredictionService::try_predict_batch(
     std::span<const BatchRequest> requests) {
-  TraceSpan span("service.batch", &batch_hist_);
-  batches_.add();
-  batch_requests_.add(requests.size());
-  max_batch_.update_max(static_cast<double>(requests.size()));
-  for (const BatchRequest& request : requests)
-    FGCS_REQUIRE_MSG(request.trace != nullptr,
-                     "batch request carries a null trace");
-
-  std::vector<std::optional<Prediction>> predictions(requests.size());
-  parallel_for(
-      requests.size(),
-      [&](std::size_t i) {
-        try {
-          predictions[i] = predict(*requests[i].trace, requests[i].request);
-        } catch (const DataError&) {
-          // This machine stays nullopt; the rest of the batch proceeds.
-        }
-      },
-      config_.max_threads);
-  return predictions;
+  return run_batch<std::optional<Prediction>>(requests);
 }
 
 void PredictionService::invalidate(const std::string& machine_id) {

@@ -163,6 +163,12 @@ class PredictionService {
 
   Shard& shard_for(const Key& key) const;
 
+  /// The one batch body behind predict_batch (Result = Prediction: a
+  /// DataError aborts the batch) and try_predict_batch (Result =
+  /// std::optional<Prediction>: a DataError leaves that slot nullopt).
+  template <typename Result>
+  std::vector<Result> run_batch(std::span<const BatchRequest> requests);
+
   ServiceConfig config_;
   SmpEstimator estimator_;
   std::size_t shard_count_;

@@ -102,7 +102,7 @@ double monte_carlo_reliability(const SmpModel& model, std::size_t init,
 
 /// The weighted holding-time pmf a(l) = Q_{from,to}·H_{from,to}(l) every TR
 /// solver convolves with, in the ONE canonical indexing convention shared by
-/// sparse_solver, fast_solver and curve_cache:
+/// sparse_solver and curve_cache:
 ///
 ///   lag-indexed — a[l] is the lag-l weight, a[0] == 0 (strict causality),
 ///   and the vector has n + 1 entries (lags 0..n), zero-padded past the

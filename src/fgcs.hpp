@@ -10,7 +10,6 @@
 #include "core/classifier.hpp"      // samples → 5-state availability model
 #include "core/empirical.hpp"       // empirical TR, evaluation metrics
 #include "core/estimator.hpp"       // Q/H estimation from history logs
-#include "core/fast_solver.hpp"     // O(n log^2 n) FFT renewal solver
 #include "core/incremental_estimator.hpp"  // O(changed-day) sliding (Q,H)
 #include "core/predictor.hpp"       // the public prediction API
 #include "core/prediction_service.hpp"  // batched + memoized fleet serving
@@ -55,7 +54,6 @@
 
 // Utilities.
 #include "util/failpoint.hpp"
-#include "util/fft.hpp"
 #include "util/metrics.hpp"     // counters/gauges/histograms + render_text
 #include "util/parallel.hpp"
 #include "util/trace_span.hpp"  // FGCS_SPAN + the JSONL trace log

@@ -13,6 +13,7 @@
 #include "test_support.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "workload/trace_generator.hpp"
 
 namespace fgcs {
 namespace {
@@ -281,34 +282,37 @@ TEST(CurveCacheTest, ConstructionValidatesModelExactlyOnce) {
   EXPECT_EQ(smp_validate_calls(), before + 1);  // reads and growth: none
 }
 
-TEST(CurveCacheTest, FftCrossoverAgreesWithDirectRecursion) {
-  for (int trial = 0; trial < 5; ++trial) {
-    Rng rng(static_cast<std::uint64_t>(600 + trial));
-    const SmpModel model = test::random_fgcs_model(8, rng);
-    const std::size_t n = 256;
-    const AbsorptionCurves fft(model, n, CurveConfig{.fft_crossover = 64});
-    const AbsorptionCurves direct(model, n);
-    for (const State init : {State::kS1, State::kS2})
-      for (std::size_t jj = 0; jj < 3; ++jj)
-        for (std::size_t m = 0; m <= n; m += 17)
-          EXPECT_NEAR(fft.probability(init, jj, m),
-                      direct.probability(init, jj, m), 1e-9)
-              << "trial=" << trial << " m=" << m;
-  }
-}
+// The recursion is the only build path at every horizon, so a fresh build
+// of a day-long 2 s window (43 200 steps) must equal, bit for bit, a short
+// table grown to the same horizon by extend_to().
+TEST(CurveCacheTest, LongHorizonFreshBuildEqualsExtension) {
+  WorkloadParams params;
+  params.sampling_period = 2;
+  const MachineTrace trace = TraceGenerator(params, 5).generate("m", 8);
+  const TimeWindow day{.start_of_day = 0, .length = 24 * kSecondsPerHour};
+  const SmpModel model =
+      SmpEstimator().estimate(trace, trace.day_count(), day);
+  const std::size_t steps = day.steps(trace.sampling_period());
+  ASSERT_EQ(steps, 43200u);
 
-TEST(CurveCacheTest, FftBuiltTableExtendsViaDirectRecursion) {
-  Rng rng(77);
-  const SmpModel model = test::random_fgcs_model(6, rng);
-  AbsorptionCurves curves(model, 128, CurveConfig{.fft_crossover = 64});
-  curves.extend_to(200);
-  const AbsorptionCurves direct(model, curves.t_max());
+  const AbsorptionCurves fresh(model, steps);
+  AbsorptionCurves extended(model, 1000);
+  extended.extend_to(steps);
+  ASSERT_EQ(extended.t_max(), steps);
+  ASSERT_GT(fresh.cross_lags(), 0u);
   for (const State init : {State::kS1, State::kS2})
-    for (std::size_t jj = 0; jj < 3; ++jj)
-      for (std::size_t m = 129; m <= curves.t_max(); m += 13)
-        EXPECT_NEAR(curves.probability(init, jj, m),
-                    direct.probability(init, jj, m), 1e-9)
-            << "m=" << m;
+    for (std::size_t jj = 0; jj < 3; ++jj) {
+      std::size_t mismatches = 0;
+      for (std::size_t m = 0; m <= steps; ++m) {
+        const double want = extended.probability(init, jj, m);
+        const double got = fresh.probability(init, jj, m);
+        if (got != want && mismatches++ == 0) {
+          EXPECT_EQ(got, want) << "first mismatch at m=" << m;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << to_string(init) << " failure " << jj;
+    }
+  EXPECT_LT(fresh.result_at(State::kS1, steps).temporal_reliability, 1.0);
 }
 
 TEST(CurveCacheTest, SolveFromCurvesExtendsOnDemand) {

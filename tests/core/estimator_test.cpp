@@ -262,6 +262,35 @@ TEST(EstimatorTest, FitMatchesTwoPassPipeline) {
   EXPECT_EQ(none.model.exit_mass(index_of(State::kS1)), 0.0);
 }
 
+// build_model does not validate its own output (the solvers do, at their
+// boundary), so the estimator's invariant is pinned here: every fitted model,
+// smoothed or not, passes SmpModel::validate().
+TEST(EstimatorTest, FittedModelsAlwaysValidate) {
+  WorkloadParams params;
+  params.sampling_period = 60;
+  for (const double alpha : {0.0, 0.5}) {
+    EstimatorConfig config;
+    config.laplace_alpha = alpha;
+    const SmpEstimator estimator(config);
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const MachineTrace trace = TraceGenerator(params, seed).generate("m", 14);
+      for (const std::int64_t day : {3, 10, 14})
+        for (const SimTime start : {0, 9, 22})
+          for (const SimTime hours : {1, 4}) {
+            SCOPED_TRACE("alpha=" + std::to_string(alpha) + " seed=" +
+                         std::to_string(seed) + " day=" + std::to_string(day) +
+                         " start=" + std::to_string(start) +
+                         " hours=" + std::to_string(hours));
+            const SmpFit fit = estimator.fit(
+                trace, day,
+                TimeWindow{.start_of_day = start * kSecondsPerHour,
+                           .length = hours * kSecondsPerHour});
+            EXPECT_NO_THROW(fit.model.validate());
+          }
+    }
+  }
+}
+
 TEST(EstimatorTest, RejectsNegativeAlpha) {
   EstimatorConfig config;
   config.laplace_alpha = -0.1;

@@ -73,6 +73,18 @@ TEST(PredictionServiceTest, MatchesPerCallPredictorExactly) {
             1.0);
 }
 
+// A cold miss validates its model once: inside the curve build, not again
+// in the estimator.
+TEST(PredictionServiceTest, ColdMissValidatesOnce) {
+  const MachineTrace trace = flaky_trace("m1");
+  PredictionService service;
+  const std::uint64_t before = smp_validate_calls();
+  service.predict(trace, {.target_day = trace.day_count(),
+                          .window = morning_window()});
+  EXPECT_EQ(smp_validate_calls(), before + 1);
+  EXPECT_EQ(service.stats().misses, 1u);
+}
+
 // The model is validated exactly once, when it enters the cache (inside the
 // curve build). Warm lookups — for either initial state — must not construct
 // a solver or re-run SmpModel::validate.

@@ -129,10 +129,10 @@ TEST(PredictorTest, MatchesSparseReferenceBitForBit) {
   }
 }
 
-TEST(PredictorTest, AgreesWithServiceAboveFftCrossover) {
-  // 2 s samples make a 20 h window 36 000 steps, past the curves' 32 768-step
-  // FFT crossover. Predictor and service build the same curves, so they
-  // agree bit for bit there too.
+TEST(PredictorTest, AgreesWithServiceAtLongHorizon) {
+  // 2 s samples make a 20 h window 36 000 steps. Predictor and service build
+  // their curves by the same recursion at every horizon, so they agree bit
+  // for bit on day-long windows too.
   WorkloadParams params;
   params.sampling_period = 2;
   const MachineTrace trace = TraceGenerator(params, 9).generate("m", 6);

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/fast_solver.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -140,28 +139,6 @@ TEST(SparseSolverTest, SharedWeightedPmfConvention) {
   const std::vector<double> zero = weighted_holding_pmf(model, 1, 3, 4);
   ASSERT_EQ(zero.size(), 5u);
   for (const double v : zero) EXPECT_EQ(v, 0.0);
-}
-
-// Cross-solver equivalence for the unified helper: the sparse recursion and
-// the FFT renewal solver now read the same kernels, so their series must
-// agree (FFT to float tolerance) on random models — including ones whose
-// pmf support is shorter than the horizon (the old per-solver helpers
-// disagreed exactly there, one indexing lag l at a[l-1], the other at a[l]).
-TEST(SparseSolverTest, UnifiedKernelKeepsSolversEquivalent) {
-  for (int trial = 0; trial < 10; ++trial) {
-    Rng rng(static_cast<std::uint64_t>(8800 + trial));
-    const SmpModel model =
-        test::random_fgcs_model(3 + trial % 5, rng,
-                                /*allow_defective=*/trial % 2 == 0);
-    const std::size_t n = 48;
-    const auto sparse = SparseTrSolver(model).solve_series(n);
-    const auto fast = FastTrSolver(model).solve_series(n);
-    for (std::size_t row = 0; row < 2; ++row)
-      for (std::size_t jj = 0; jj < 3; ++jj)
-        for (std::size_t m = 0; m <= n; ++m)
-          EXPECT_NEAR(sparse[row][jj][m], fast[row][jj][m], 1e-10)
-              << "trial=" << trial << " row=" << row << " m=" << m;
-  }
 }
 
 TEST(SparseSolverTest, ScratchReuseIsBitIdentical) {
